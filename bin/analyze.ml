@@ -127,29 +127,6 @@ let with_obs ?(render_stats = true) (trace, stats, progress) f =
   | _ -> ());
   result
 
-let backend_flag =
-  let doc = "Raw storage backend for the numeric core: floatarray (the \
-             portable reference) or bigarray (C-layout Bigarray.Array1, \
-             GC-opaque).  Both execute identical floating-point operations \
-             in identical order, so chosen events, metrics and the \
-             provenance ledger are byte-identical; the active name is \
-             recorded in the run manifest's config (and its digest)." in
-  Arg.(value & opt (some string) None & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-(* Backend-name validation goes through the lint rule so a bad value is
-   a typed pre-flight diagnostic (param/unknown-backend) naming this
-   build's alternatives, not an argv failure. *)
-let set_backend backend =
-  Option.iter
-    (fun name ->
-      match Check.Param_check.check_backend name with
-      | [] ->
-        Option.iter Core.Backend.set_default (Core.Backend.of_name name)
-      | ds ->
-        List.iter (fun d -> prerr_endline (Core.Diagnostic.render d)) ds;
-        exit 1)
-    backend
-
 let shards_flag =
   let doc = "Split data collection and noise filtering into $(docv) \
              catalog-range shards (merged deterministically before \
@@ -159,16 +136,14 @@ let shards_flag =
 
 let jobs_flag =
   let doc = "Execute on $(docv) domains: shards of the collection front \
-             run concurrently and the QRCP panel kernels split their \
-             column ranges across the pool.  Outputs are byte-identical \
-             for every jobs count (1, the default, is the sequential \
-             reference executor); the count is recorded in the run \
-             manifest's config (and its digest)." in
+             run concurrently.  Outputs are byte-identical for every jobs \
+             count (1, the default, is the sequential reference \
+             executor); the count is recorded in the run manifest's \
+             config (and its digest)." in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* Jobs validation mirrors set_backend: a bad value is the typed
-   param/unknown-jobs diagnostic, not an argv failure.  Warnings
-   (jobs > shards) print but do not abort. *)
+(* A bad jobs value is the typed param/unknown-jobs diagnostic, not an
+   argv failure.  Warnings (jobs > shards) print but do not abort. *)
 let set_jobs ?shards jobs =
   let ds = Check.Param_check.check_jobs ?shards jobs in
   List.iter (fun d -> prerr_endline (Core.Diagnostic.render d)) ds;
@@ -292,8 +267,7 @@ let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
   print_newline ()
 
 let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
-    store shards preflight backend jobs =
-  set_backend backend;
+    store shards preflight jobs =
   set_jobs ~shards jobs;
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if shards < 1 then begin
@@ -438,8 +412,7 @@ let smoke_category ?(shards = 1) category =
   check "chosen" chosen;
   check "discarded" discarded
 
-let explain_main category event all fate json smoke shards backend jobs obs =
-  set_backend backend;
+let explain_main category event all fate json smoke shards jobs obs =
   set_jobs ~shards jobs;
   with_obs obs @@ fun ~summary:_ ->
   let module L = Provenance.Ledger in
@@ -537,16 +510,13 @@ let explain_cmd =
     Term.(
       const explain_main $ explain_category $ explain_event $ explain_all
       $ explain_fate $ explain_json $ explain_smoke $ explain_shards
-      $ backend_flag $ jobs_flag $ obs_term)
+      $ jobs_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* shard / merge: the serialized staged pipeline                       *)
 (* ------------------------------------------------------------------ *)
 
-let shard_main category index shards out tau alpha proj_tol reps backend jobs
-    obs =
-  set_backend backend;
-  set_jobs jobs;
+let shard_main category index shards out tau alpha proj_tol reps obs =
   with_obs obs @@ fun ~summary:_ ->
   let category =
     match category with
@@ -621,11 +591,9 @@ let shard_cmd =
     (Cmd.info "shard" ~doc ~man)
     Term.(
       const shard_main $ explain_category $ index $ shards $ out $ tau $ alpha
-      $ proj_tol $ reps $ backend_flag $ jobs_flag $ obs_term)
+      $ proj_tol $ reps $ obs_term)
 
-let merge_main files sections json manifest store backend jobs obs =
-  set_backend backend;
-  set_jobs jobs;
+let merge_main files sections json manifest store obs =
   with_obs obs @@ fun ~summary:_ ->
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if files = [] then begin
@@ -708,7 +676,7 @@ let merge_cmd =
     (Cmd.info "merge" ~doc ~man)
     Term.(
       const merge_main $ files $ sections $ json $ manifest_file
-      $ store_flag $ backend_flag $ jobs_flag $ obs_term)
+      $ store_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* lint: the static pre-flight analyzer                                *)
@@ -726,21 +694,11 @@ let severity_conv =
       fun ppf s ->
         Format.pp_print_string ppf (Core.Diagnostic.severity_name s) )
 
-let lint_main category severity json rules_flag quiet backend obs =
+let lint_main category severity json rules_flag quiet obs =
   with_obs obs @@ fun ~summary:_ ->
   if rules_flag then print_string (Check.rules_table ())
   else begin
-    (* --backend participates in the pass itself: an unknown name is a
-       param/unknown-backend diagnostic in the report (and the exit
-       status), not an argv failure. *)
-    let backend_diags =
-      match backend with
-      | None -> []
-      | Some name -> Check.Param_check.check_backend name
-    in
     let diagnostics =
-      backend_diags
-      @
       match category with
       | Some c -> Check.run_all ~categories:[ c ] ()
       | None -> Check.run_all ()
@@ -826,7 +784,7 @@ let lint_cmd =
     (Cmd.info "lint" ~doc ~man)
     Term.(
       const lint_main $ lint_category $ lint_severity $ lint_json
-      $ lint_rules $ lint_quiet $ backend_flag $ obs_term)
+      $ lint_rules $ lint_quiet $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* report: render and compare run manifests                            *)
@@ -850,20 +808,11 @@ let changes_to_json changes =
    contract shared by --diff and --baseline. *)
 let report_compare ~json ~quiet ~timing baseline current =
   let changes = Obs.Manifest.diff baseline current in
-  let cross = Obs.Manifest.cross_backend baseline current in
   let cross_j = Obs.Manifest.cross_jobs baseline current in
   if not quiet then
     if json then
       print_string (Jsonio.to_string (changes_to_json changes) ^ "\n")
     else begin
-      Option.iter
-        (fun (ba, bb) ->
-          Printf.printf
-            "cross-backend comparison: %s vs %s (config.backend and \
-             config_digest are expected to differ; everything else \
-             must still agree)\n"
-            ba bb)
-        cross;
       Option.iter
         (fun (ja, jb) ->
           Printf.printf
@@ -875,15 +824,13 @@ let report_compare ~json ~quiet ~timing baseline current =
       print_string (Obs.Manifest.render_changes ~show_timing:timing changes)
     end;
   (* Timing deltas are expected between any two runs; a non-timing
-     difference means the runs were not equivalent.  Across backends
-     (or jobs counts) the recorded name (and hence the config digest)
-     differs by construction — those fields are the labeled signature
-     of a cross-backend/cross-jobs comparison, and any *other*
-     non-timing difference still fails: both axes promise
-     byte-identical outputs. *)
+     difference means the runs were not equivalent.  Across jobs counts
+     the recorded count (and hence the config digest) differs by
+     construction — those fields are the labeled signature of a
+     cross-jobs comparison, and any *other* non-timing difference still
+     fails: the executor promises byte-identical outputs. *)
   let expected_cross path =
-    (cross <> None && (path = "config.backend" || path = "config_digest"))
-    || (cross_j <> None && (path = "config.jobs" || path = "config_digest"))
+    cross_j <> None && (path = "config.jobs" || path = "config_digest")
   in
   let gating =
     List.filter
@@ -965,12 +912,12 @@ let report_cmd =
          artifact hashes — identical configs must agree).  The exit \
          status is 1 if any non-timing field differs.";
       `P
-        "When the two manifests record different storage backends \
-         (config key 'backend'), the comparison is labeled cross-backend: \
-         the backend name and the config digest differ by construction \
-         and are exempt from the exit status, while every other \
-         non-timing field must still agree — the backends promise \
-         byte-identical outputs.";
+        "When the two manifests record different jobs counts (config \
+         key 'jobs'), the comparison is labeled cross-jobs: the count \
+         and the config digest differ by construction and are exempt \
+         from the exit status, while every other non-timing field must \
+         still agree — every jobs count produces byte-identical \
+         outputs.";
       `P
         "With $(b,--baseline) $(i,BASE), the single FILE is compared \
          against $(i,BASE): a manifest file path, or the literal \
@@ -980,7 +927,7 @@ let report_cmd =
       `S Manpage.s_exit_status;
       `P
         "0 — the runs are equivalent (only timing fields, or expected \
-         cross-backend fields, differ).  1 — a non-timing field differs \
+         cross-jobs fields, differ).  1 — a non-timing field differs \
          (or a manifest fails strict decoding).  2 — usage error, or no \
          comparable baseline exists in the store.  $(b,--quiet) changes \
          none of this, it only suppresses the rendering.";
@@ -1163,8 +1110,7 @@ let trend_cmd =
 (* trace: flamegraph (folded stacks) and Chrome-trace export           *)
 (* ------------------------------------------------------------------ *)
 
-let trace_main category shards folded flamegraph backend obs =
-  set_backend backend;
+let trace_main category shards folded flamegraph obs =
   let category =
     match category with
     | Some c -> c
@@ -1241,7 +1187,7 @@ let trace_cmd =
     (Cmd.info "trace" ~doc ~man)
     Term.(
       const trace_main $ category $ shards_flag $ folded $ flamegraph
-      $ backend_flag $ obs_term)
+      $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* store: inspect and feed the run store directly                      *)
@@ -1316,7 +1262,7 @@ let cmd =
     Term.(
       const main $ category $ tau $ alpha $ proj_tol $ reps $ sections
       $ csv_file $ auto_tau $ obs_term $ manifest_file $ store_flag
-      $ shards_flag $ preflight_flag $ backend_flag $ jobs_flag)
+      $ shards_flag $ preflight_flag $ jobs_flag)
   in
   Cmd.group ~default info
     [

@@ -377,13 +377,11 @@ let config_pairs ~category ~config ~shards ~jobs (r : result) =
   [
     ("category", Category.name category);
     ("machine", Category.machine category);
-    (* The storage backend enters the config digest, so manifests from
-       different backends diff as explicit config drift rather than
-       silent timing drift (`analyze report --diff` labels it).  The
-       jobs count follows the same discipline: runs at different
-       concurrency diff as config drift even though their outputs are
-       byte-identical. *)
-    ("backend", Linalg.Backend.name (Linalg.Backend.default ()));
+    (* Constant; kept so config digests and store index entries stay
+       byte-identical with manifests that predate it. *)
+    ("backend", "floatarray");
+    (* Runs at different concurrency diff as config drift even though
+       their outputs are byte-identical. *)
     ("jobs", string_of_int jobs);
     ("tau", g config.tau);
     ("alpha", g config.alpha);

@@ -145,9 +145,9 @@ let run_batch ~extra n body =
   p.failure <- None;
   Condition.broadcast p.work;
   (* The submitting domain participates in its own batch; while it
-     does, it counts as a worker so a task that re-enters map/
-     iter_ranges on this domain degrades to sequential instead of
-     corrupting the in-flight batch. *)
+     does, it counts as a worker so a task that re-enters [map] on
+     this domain degrades to sequential instead of corrupting the
+     in-flight batch. *)
   let was_worker = Domain.DLS.get worker_flag in
   Domain.DLS.set worker_flag true;
   drain_tasks p;
@@ -178,29 +178,3 @@ let map ?executor n f =
     Array.map
       (function Some v -> v | None -> invalid_arg "Executor.map: lost slot")
       slots
-
-(* Split [lo, hi) into [parts] contiguous ranges of near-equal width,
-   wider ranges first. *)
-let split ~parts ~lo ~hi =
-  let n = hi - lo in
-  let base = n / parts and rem = n mod parts in
-  let ranges = Array.make parts (0, 0) in
-  let start = ref lo in
-  for k = 0 to parts - 1 do
-    let w = base + (if k < rem then 1 else 0) in
-    ranges.(k) <- (!start, !start + w);
-    start := !start + w
-  done;
-  ranges
-
-let iter_ranges ?executor ~lo ~hi f =
-  if hi > lo then
-    match resolve executor with
-    | Seq -> f lo hi
-    | Domains j when j <= 1 || hi - lo <= 1 || in_worker () -> f lo hi
-    | Domains j ->
-      let parts = min j (hi - lo) in
-      let ranges = split ~parts ~lo ~hi in
-      run_batch ~extra:(parts - 1) parts (fun k ->
-          let sub_lo, sub_hi = ranges.(k) in
-          f sub_lo sub_hi)

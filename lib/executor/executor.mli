@@ -1,6 +1,5 @@
-(** Execution strategy for the embarrassingly parallel parts of the
-    pipeline: shard collection/classification and the per-column QRCP
-    panel passes.
+(** Execution strategy for the embarrassingly parallel part of the
+    pipeline: shard collection and classification.
 
     {1 Contract}
 
@@ -18,14 +17,12 @@
 
     Determinism argument: every call site partitions work into tasks
     whose outputs are written to disjoint, preallocated slots (array
-    cells indexed by task, or disjoint column ranges of a matrix
-    buffer).  Within each task the floating-point operation order is
-    identical to the sequential reference — the panel kernels split by
-    {e columns} and each column's accumulation runs entirely inside
-    one task — so the bits written do not depend on which domain ran
-    the task or when.  The only ordered side channel is observability:
-    call sites capture [Obs] events per task and replay them on the
-    calling domain in task-index order (see [Obs.with_capture]).
+    cells indexed by task).  Within each task the floating-point
+    operation order is identical to the sequential reference, so the
+    bits written do not depend on which domain ran the task or when.
+    The only ordered side channel is observability: call sites capture
+    [Obs] events per task and replay them on the calling domain in
+    task-index order (see [Obs.with_capture]).
 
     {1 Shared-state / RNG invariant}
 
@@ -40,9 +37,9 @@
     calling domain before dispatch.  Audited 2026-08: no other mutable
     state in [hwsim]/[cat_bench] escapes into tasks.
 
-    Nested submission (a task that itself calls [map]/[iter_ranges])
-    degrades to sequential execution on the worker — the pool is never
-    re-entered, so it cannot deadlock. *)
+    Nested submission (a task that itself calls [map]) degrades to
+    sequential execution on the worker — the pool is never re-entered,
+    so it cannot deadlock. *)
 
 type t =
   | Seq  (** sequential reference — current behavior, bit-exact *)
@@ -60,7 +57,7 @@ val name : t -> string
 
 val default : unit -> t
 (** Process-wide default, [Seq] until [set_default].  The CLI [--jobs]
-    flag sets it; the panel kernels and [Stage.run_sharded] read it. *)
+    flag sets it; [Stage.run_sharded] reads it. *)
 
 val set_default : t -> unit
 
@@ -80,9 +77,3 @@ val map : ?executor:t -> int -> (int -> 'a) -> 'a array
     when [n <= 1] or when already inside a worker.  If any task
     raises, the first exception (by completion order) is re-raised
     after the whole batch has drained. *)
-
-val iter_ranges : ?executor:t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [iter_ranges ~lo ~hi f] covers [\[lo, hi)] with disjoint
-    contiguous subranges and calls [f sub_lo sub_hi] on each — one
-    range per job under [Domains], a single [f lo hi] call under
-    [Seq].  The kernels use this to split panel passes by column. *)

@@ -238,7 +238,7 @@ let ingest t (m : Manifest.t) =
         config_digest = m.Manifest.config_digest;
         source = m.Manifest.source;
         label = m.Manifest.label;
-        backend = Manifest.backend m;
+        backend = List.assoc_opt "backend" m.Manifest.config;
         created_unix = m.Manifest.created_unix;
         manifest_hash = hash;
         file = Printf.sprintf "run-%06d-%s.json" seq m.Manifest.config_digest;
@@ -254,13 +254,12 @@ let ingest t (m : Manifest.t) =
     with Sys_error msg | Unix.Unix_error (_, msg, _) ->
       Error (Printf.sprintf "cannot write run to store %s: %s" t.root msg))
 
-let query ?config_digest ?source ?label ?backend t =
+let query ?config_digest ?source ?label t =
   let want opt f = match opt with None -> true | Some v -> f = v in
   List.filter
     (fun e ->
       want config_digest e.config_digest
-      && want source e.source && want label e.label
-      && (match backend with None -> true | Some b -> e.backend = Some b))
+      && want source e.source && want label e.label)
     t.all
 
 let load t e =

@@ -58,7 +58,6 @@ val query :
   ?config_digest:string ->
   ?source:string ->
   ?label:string ->
-  ?backend:string ->
   t ->
   entry list
 (** Entries matching every given filter, ascending by [seq]. *)

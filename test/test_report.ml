@@ -1,6 +1,6 @@
 (* Tests for the reporting layer: tables, figure series and ASCII
-   panels, QRCP traces, gnuplot emission, the handbook, dataset
-   utilities and the roofline model. *)
+   panels, QRCP traces, gnuplot emission, the handbook and dataset
+   utilities. *)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -199,56 +199,6 @@ let test_merged_sessions_reproduce_analysis () =
     (Core.Pipeline.chosen_set (run merged))
 
 (* ------------------------------------------------------------------ *)
-(* Roofline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let m = Core.Roofline.default_machine
-
-let test_ridge () =
-  Alcotest.(check (float 1e-12)) "ridge" 2.0 (Core.Roofline.ridge_intensity m)
-
-let test_memory_bound_placement () =
-  (* Intensity 0.5 flop/B < ridge: memory bound; attainable = 0.5*16 = 8. *)
-  let p = Core.Roofline.place m ~flops:1e6 ~bytes:2e6 ~cycles:2.5e5 in
-  Alcotest.(check bool) "memory bound" true (p.Core.Roofline.bound = `Memory);
-  Alcotest.(check (float 1e-9)) "attainable" 8.0 p.Core.Roofline.attainable;
-  Alcotest.(check (float 1e-9)) "performance" 4.0 p.Core.Roofline.performance;
-  Alcotest.(check (float 1e-9)) "efficiency" 0.5 p.Core.Roofline.efficiency
-
-let test_compute_bound_placement () =
-  (* Intensity 10 flop/B > ridge: compute bound, roof = 32. *)
-  let p = Core.Roofline.place m ~flops:1e7 ~bytes:1e6 ~cycles:1e6 in
-  Alcotest.(check bool) "compute bound" true (p.Core.Roofline.bound = `Compute);
-  Alcotest.(check (float 1e-9)) "attainable is peak" 32.0 p.Core.Roofline.attainable
-
-let test_place_validation () =
-  Alcotest.check_raises "zero bytes"
-    (Invalid_argument "Roofline.place: inputs must be positive") (fun () ->
-      ignore (Core.Roofline.place m ~flops:1.0 ~bytes:0.0 ~cycles:1.0))
-
-let test_roofline_on_derived_metrics () =
-  (* Whole loop: derived FLOPs + derived bytes + measured cycles for
-     the daxpy app. *)
-  let flops_result = Core.Pipeline.run Core.Category.Cpu_flops in
-  let cache_result = Core.Pipeline.run Core.Category.Dcache in
-  let catalog = Hwsim.Catalog_sapphire_rapids.events in
-  let app = Cat_bench.App_workloads.daxpy ~n:1_000_000 in
-  let eval result name =
-    Core.Validate.evaluate_combination
-      (Core.Combination.round_coefficients
-         (Core.Metric_solver.display_combination (Core.Pipeline.metric result name)))
-      ~catalog ~seed:"roofline" app.activity
-  in
-  let flops = eval flops_result "DP Ops." in
-  let bytes = 64.0 *. eval cache_result "L1 Misses." in
-  let cycles = Hwsim.Activity.get app.activity Hwsim.Keys.core_cycles in
-  let p = Core.Roofline.place m ~flops ~bytes ~cycles in
-  Alcotest.(check bool) "daxpy is memory bound" true
-    (p.Core.Roofline.bound = `Memory);
-  Alcotest.(check bool) "efficiency sane" true
-    (p.Core.Roofline.efficiency > 0.0 && p.Core.Roofline.efficiency < 2.0)
-
-(* ------------------------------------------------------------------ *)
 (* Reproduction scorecard                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -309,13 +259,5 @@ let () =
           Alcotest.test_case "merge" `Quick test_merge_datasets;
           Alcotest.test_case "merge duplicates" `Quick test_merge_rejects_duplicates;
           Alcotest.test_case "sessions reproduce" `Quick test_merged_sessions_reproduce_analysis;
-        ] );
-      ( "roofline",
-        [
-          Alcotest.test_case "ridge" `Quick test_ridge;
-          Alcotest.test_case "memory bound" `Quick test_memory_bound_placement;
-          Alcotest.test_case "compute bound" `Quick test_compute_bound_placement;
-          Alcotest.test_case "validation" `Quick test_place_validation;
-          Alcotest.test_case "derived metrics loop" `Slow test_roofline_on_derived_metrics;
         ] );
     ]
