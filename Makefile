@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures docs clean
+.PHONY: all build test check lint lint-smoke bench bench-smoke bench-linalg bench-shard bench-par bench-check bench-check-smoke manifest-smoke csv-smoke shard-smoke par-smoke store-smoke trend-smoke repro examples figures docs clean
 
 all: build
 
@@ -15,14 +15,15 @@ test:
 # an observability smoke run (per-stage timings + counters on one
 # category), the provenance explain smoke (one kept + one discarded
 # event per category must produce a coherent decision chain), then
-# the shard, parallel, linalg-bench, manifest, bench-gate, store and
-# trend smokes.
+# the CSV-rejection, shard, parallel, linalg-bench, manifest,
+# bench-gate, store and trend smokes.
 check:
 	dune build
 	dune runtest
 	$(MAKE) lint-smoke
 	dune exec bin/analyze.exe -- -c cpu-flops --stats --show summary
 	dune exec bin/analyze.exe -- explain --smoke
+	$(MAKE) csv-smoke
 	$(MAKE) shard-smoke
 	$(MAKE) par-smoke
 	$(MAKE) bench-smoke
@@ -42,6 +43,17 @@ lint:
 lint-smoke:
 	dune exec bin/analyze.exe -- lint --severity warn
 	dune exec bin/analyze.exe -- lint --quiet --json /tmp/lint_report.json
+
+# Malformed input fails loudly: a CSV in the wrong format (dataset_dump
+# without --full writes per-event means, not repetitions) must exit 1
+# with a one-line message, not an uncaught exception; --preflight,
+# which lints the simulated catalog, is rejected with --csv (exit 2).
+csv-smoke:
+	dune exec bin/dataset_dump.exe -- cpu-flops > /tmp/csv_smoke_means.csv
+	dune exec bin/analyze.exe -- -c cpu-flops \
+	  --csv /tmp/csv_smoke_means.csv; test $$? -eq 1
+	dune exec bin/analyze.exe -- -c cpu-flops --preflight \
+	  --csv /tmp/csv_smoke_means.csv; test $$? -eq 2
 
 # Sharded execution must be byte-identical to the monolithic run —
 # both in-process (--shards) and through serialized shard artifacts
@@ -110,7 +122,9 @@ bench-par:
 
 # Run-manifest smoke: emit a manifest from a real pipeline run, render
 # it, and diff two manifests of the same config — `analyze report
-# --diff` must exit zero (no non-timing differences).
+# --diff` must exit zero (no non-timing differences).  An --auto-tau
+# run writes one manifest: its threshold probes are not runs of their
+# own.
 manifest-smoke:
 	dune exec bin/analyze.exe -- -c branch --show summary \
 	  --manifest /tmp/manifest_a.json
@@ -118,6 +132,11 @@ manifest-smoke:
 	  --manifest /tmp/manifest_b.json
 	dune exec bin/analyze.exe -- report /tmp/manifest_a.json
 	dune exec bin/analyze.exe -- report --diff /tmp/manifest_a.json /tmp/manifest_b.json
+	rm -f /tmp/m.json /tmp/m.json.1
+	dune exec bin/analyze.exe -- -c branch --auto-tau 3 --show summary \
+	  --manifest /tmp/m.json
+	test -s /tmp/m.json
+	test ! -e /tmp/m.json.1
 
 # Perf-regression gate: full benchmark runs compared against the
 # newest comparable run in the run store when one exists (the

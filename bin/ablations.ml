@@ -18,6 +18,12 @@ let () =
   Arg.parse specs
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "ablations [--manifest FILE] [--store DIR]";
-  Obs_cli.install_hook ~command:"ablations" ?manifest:!manifest ?store:!store
-    ();
-  print_string (Core.Ablation.summary ())
+  let run =
+    {
+      Core.Run.default with
+      manifest =
+        Obs_cli.manifest_sink ~command:"ablations" ?manifest:!manifest
+          ?store:!store ();
+    }
+  in
+  print_string (Core.Ablation.summary ~run ())

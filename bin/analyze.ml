@@ -155,11 +155,13 @@ let set_jobs ?shards jobs =
   Core.Exec.set_default (Core.Exec.of_jobs jobs)
 
 let preflight_flag =
-  let doc = "Install the static pre-flight gate before running: the \
-             category's declarative inputs (basis, signatures, thresholds, \
-             catalog) are linted with zero kernel executions and the run \
-             aborts on any error-severity diagnostic.  Off by default; on \
-             clean inputs the gated run's outputs are bit-identical." in
+  let doc = "Gate the run with the static pre-flight lint: the category's \
+             declarative inputs (basis, signatures, thresholds, catalog) \
+             are linted with zero kernel executions and the run aborts on \
+             any error-severity diagnostic.  Off by default; on clean \
+             inputs the gated run's outputs are bit-identical.  Not \
+             accepted with --csv: the gate lints the simulated catalog, \
+             not the CSV's." in
   Arg.(value & flag & info [ "preflight" ] ~doc)
 
 let read_file path =
@@ -224,12 +226,15 @@ let print_sections ~sections category (r : Core.Pipeline.result) =
   if wants "fig3" && category = Core.Category.Dcache then
     print_string (Core.Report.fig3_text r)
 
-let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
-    ~sections category =
+let run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
+    ~reps ~sections category =
   let tau =
     match auto_tau with
     | None -> tau
     | Some min_rank ->
+      (* The probe runs get the default context (no gate, no manifest),
+         so gate the category here, before any probe collects. *)
+      ignore (Core.Stage.preflight_check run category);
       let s = Core.Auto_threshold.select ~category ~min_rank () in
       Printf.printf
         "auto-tau: selected %.3e (gap ratio %.1e, keeps %d events)\n"
@@ -247,14 +252,18 @@ let run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
     summary;
   let r =
     match csv with
-    | None -> Core.Pipeline.run ~config ~shards category
+    | None -> Core.Pipeline.run ~run ~config ~shards category
     | Some path ->
       let dataset =
-        Cat_bench.Dataset.of_reps_csv
-          ~name:(Core.Category.name category)
-          (read_file path)
+        try
+          Cat_bench.Dataset.of_reps_csv
+            ~name:(Core.Category.name category)
+            (read_file path)
+        with Failure msg ->
+          Printf.eprintf "analyze: %s: %s\n" path msg;
+          exit 1
       in
-      Core.Pipeline.run_custom ~config ~category ~dataset
+      Core.Pipeline.run_custom ~run ~config ~category ~dataset
         ~basis:(Core.Category.basis category)
         ~signatures:(Core.Category.signatures category) ()
   in
@@ -274,10 +283,14 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
     prerr_endline "analyze: --shards must be at least 1";
     exit 2
   end;
-  if preflight then Check.install_gate ();
   if shards > 1 && csv <> None then begin
     (* A CSV import is a finished dataset, not a collection to split. *)
     prerr_endline "analyze: --shards does not apply to --csv datasets";
+    exit 2
+  end;
+  if preflight && csv <> None then begin
+    (* The gate lints the category's simulated catalog, not the CSV's. *)
+    prerr_endline "analyze: --preflight does not apply to --csv datasets";
     exit 2
   end;
   (match (manifest, category) with
@@ -288,7 +301,13 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
     prerr_endline "analyze: --manifest requires --category";
     exit 2
   | _ -> ());
-  Obs_cli.install_hook ~command:"analyze" ?manifest ?store ();
+  let run =
+    {
+      Core.Run.preflight = (if preflight then Some Check.gate_lint else None);
+      manifest = Obs_cli.manifest_sink ~command:"analyze" ?manifest ?store ();
+      record_ledger = false;
+    }
+  in
   with_obs ~render_stats:false obs (fun ~summary ->
       try
         match (csv, category) with
@@ -296,15 +315,15 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
           prerr_endline "analyze: --csv requires --category";
           exit 2
         | Some _, Some c ->
-          run_category ?csv ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol
-            ~reps ~sections c
+          run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha
+            ~proj_tol ~reps ~sections c
         | None, Some c ->
-          run_category ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol ~reps
-            ~sections c
+          run_category ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
+            ~reps ~sections c
         | None, None ->
           List.iter
-            (run_category ?auto_tau ?summary ~shards ~tau ~alpha ~proj_tol
-               ~reps ~sections)
+            (run_category ?auto_tau ?summary ~run ~shards ~tau ~alpha
+               ~proj_tol ~reps ~sections)
             Core.Category.all
       with Core.Stage.Preflight_failed ds ->
         prerr_endline "analyze: pre-flight gate failed:";
@@ -348,12 +367,10 @@ let explain_smoke =
   Arg.(value & flag & info [ "smoke" ] ~doc)
 
 let ledger_for ?(shards = 1) category =
-  (* Record during the run so the CLI exercises the emission path (the
-     rebuild path is the fallback for results produced without
-     recording). *)
-  Provenance.set_recording true;
-  let r = Core.Pipeline.run ~shards category in
-  Provenance.set_recording false;
+  (* Record the ledger during the run, from the run's own QRCP
+     factorization, rather than factoring again in Pipeline.ledger. *)
+  let run = { Core.Run.default with record_ledger = true } in
+  let r = Core.Pipeline.run ~run ~shards category in
   (r, Core.Pipeline.ledger r)
 
 let write_json path ledger =
@@ -496,7 +513,7 @@ let explain_cmd =
          memberships.";
       `P
         "With --json FILE the complete ledger is exported as versioned \
-         JSON; ledgers from disjoint event ranges can later be merged.";
+         JSON.";
     ]
   in
   let explain_shards =
@@ -600,7 +617,14 @@ let merge_main files sections json manifest store obs =
     prerr_endline "analyze merge: give the shard artifact FILEs to merge";
     exit 2
   end;
-  Obs_cli.install_hook ~command:"analyze merge" ?manifest ?store ();
+  let run =
+    {
+      Core.Run.default with
+      manifest =
+        Obs_cli.manifest_sink ~command:"analyze merge" ?manifest ?store ();
+      record_ledger = true;
+    }
+  in
   let shards =
     List.map
       (fun path ->
@@ -630,15 +654,12 @@ let merge_main files sections json manifest store obs =
           s.Core.Stage.category (List.hd files);
         exit 1)
   in
-  Provenance.set_recording true;
   let r =
-    try Core.Stage.run_merged ~category shards
+    try Core.Stage.run_merged ~run ~category shards
     with Invalid_argument msg ->
-      Provenance.set_recording false;
       Printf.eprintf "analyze merge: %s\n" msg;
       exit 1
   in
-  Provenance.set_recording false;
   print_sections ~sections category r;
   (* Same trailing newline as the default runner, so a merged run's
      output is byte-comparable against a monolithic one. *)

@@ -6,8 +6,7 @@
    residual against its tolerance, the QRCP pick round (with the
    runner-up gap) or elimination reason, and the final metric
    coefficients.  The ledger gathers all of it into one queryable
-   document, exportable as versioned JSON and mergeable across
-   catalog shards.
+   document, exportable as versioned JSON.
 
    Run with: dune exec examples/explain_event.exe *)
 
@@ -16,13 +15,11 @@ module Ledger = Provenance.Ledger
 let () =
   print_endline "eventlab provenance: the audit trail of a pipeline run\n";
 
-  (* Recording is off by default (the pipeline is then bit-identical
-     to an uninstrumented run); turn it on around the run we want to
-     audit.  Without recording, Pipeline.ledger rebuilds the same
-     document from the result — recording just captures it live. *)
-  Provenance.set_recording true;
-  let result = Core.Pipeline.run Core.Category.Cpu_flops in
-  Provenance.set_recording false;
+  (* The ledger is derived from the finished result.  Asking the run
+     to record it reuses the run's own QRCP factorization; without
+     that, Pipeline.ledger assembles the same document on demand. *)
+  let run = { Core.Run.default with record_ledger = true } in
+  let result = Core.Pipeline.run ~run Core.Category.Cpu_flops in
   let ledger = Core.Pipeline.ledger result in
 
   (* Stage totals: every event has exactly one terminal fate. *)

@@ -256,9 +256,3 @@ let gate_lint c =
   lint_category c
   @ Catalog_check.analyze_catalog ~name:(catalog_name c)
       (Core.Category.events c)
-
-let install_gate () = Core.Stage.set_preflight (Some gate_lint)
-
-let remove_gate () = Core.Stage.set_preflight None
-
-let gate_installed () = Core.Stage.preflight_installed ()

@@ -80,8 +80,9 @@ val report_of_json : Jsonio.t -> (Diagnostic.t list, string) result
 
 (** {1 The optional pre-flight gate}
 
-    Off by default.  Installing the gate makes {!Core.Pipeline.run}
-    and {!Core.Stage.run_sharded} lint the category (basis, ideals,
+    Off by default.  A run context whose [preflight] is [Some gate_lint]
+    ({!Core.Run.t}) makes {!Core.Pipeline.run} and
+    {!Core.Stage.run_sharded} lint the category (basis, ideals,
     signatures, parameters, own catalog) before collecting anything,
     raising {!Core.Stage.Preflight_failed} on any error-severity
     diagnostic.  The lint pass is read-only, so on clean inputs the
@@ -89,9 +90,3 @@ val report_of_json : Jsonio.t -> (Diagnostic.t list, string) result
 
 val gate_lint : Core.Category.t -> Diagnostic.t list
 (** What the gate runs per category. *)
-
-val install_gate : unit -> unit
-
-val remove_gate : unit -> unit
-
-val gate_installed : unit -> bool

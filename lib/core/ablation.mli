@@ -14,7 +14,8 @@ type alpha_point = {
   matches_paper : bool;
 }
 
-val alpha_sweep : Category.t -> alphas:float list -> alpha_point list
+val alpha_sweep :
+  ?run:Run.t -> Category.t -> alphas:float list -> alpha_point list
 (** Runs the pipeline at each α and compares the chosen-event set to
     the paper's. *)
 
@@ -25,7 +26,7 @@ type tau_point = {
   chosen : string list;
 }
 
-val tau_sweep : Category.t -> taus:float list -> tau_point list
+val tau_sweep : ?run:Run.t -> Category.t -> taus:float list -> tau_point list
 
 type reduction_point = {
   reduction : [ `Median | `Mean ];
@@ -35,7 +36,7 @@ type reduction_point = {
   chosen : string list;
 }
 
-val thread_reduction_comparison : unit -> reduction_point list
+val thread_reduction_comparison : ?run:Run.t -> unit -> reduction_point list
 (** Median vs mean across the 8 cache threads. *)
 
 type measure_point = {
@@ -55,7 +56,8 @@ type multiplex_point = {
       (** Do the four paper branch events survive the filter? *)
 }
 
-val multiplex_sweep : counters:int list -> multiplex_point list
+val multiplex_sweep :
+  ?run:Run.t -> counters:int list -> unit -> multiplex_point list
 (** The branching analysis under increasing counter pressure. *)
 
 type predictor_point = {
@@ -65,7 +67,9 @@ type predictor_point = {
       (** Mispredicts per iteration on the pure random kernel. *)
 }
 
-val predictor_comparison : unit -> predictor_point list
+val predictor_comparison : ?run:Run.t -> unit -> predictor_point list
 
-val summary : unit -> string
-(** All ablations, formatted. *)
+val summary : ?run:Run.t -> unit -> string
+(** All ablations, formatted.  Every pipeline run of every sweep gets
+    [run] (default {!Run.default}), so a manifest sink sees one
+    manifest per run. *)

@@ -33,11 +33,11 @@ type claim = {
    four runs. *)
 let result_cache : (Category.t, Pipeline.result) Hashtbl.t = Hashtbl.create 4
 
-let result_of category =
+let result_of ?run category =
   match Hashtbl.find_opt result_cache category with
   | Some r -> r
   | None ->
-    let r = Pipeline.run category in
+    let r = Pipeline.run ?run category in
     Hashtbl.add result_cache category r;
     r
 
@@ -214,24 +214,24 @@ type verdict = {
   detail : string;
 }
 
-let check claim =
+let check ?run claim =
   let passed, detail =
     match claim.expectation with
     | Chosen_events { category; events } ->
-      let got = Pipeline.chosen_set (result_of category) in
+      let got = Pipeline.chosen_set (result_of ?run category) in
       ( got = List.sort compare events,
         Printf.sprintf "chosen = {%s}" (String.concat ", " got) )
     | Metric_error { category; metric; error; tolerance } ->
-      let d = Pipeline.metric (result_of category) metric in
+      let d = Pipeline.metric (result_of ?run category) metric in
       ( Float.abs (d.Metric_solver.error -. error) <= tolerance,
         Printf.sprintf "error = %.6e (expected %.6e +- %g)"
           d.Metric_solver.error error tolerance )
     | Metric_error_below { category; metric; bound } ->
-      let d = Pipeline.metric (result_of category) metric in
+      let d = Pipeline.metric (result_of ?run category) metric in
       ( d.Metric_solver.error < bound,
         Printf.sprintf "error = %.3e (< %.0e required)" d.Metric_solver.error bound )
     | Metric_combination { category; metric; rounded } ->
-      let d = Pipeline.metric (result_of category) metric in
+      let d = Pipeline.metric (result_of ?run category) metric in
       let got =
         Combination.round_coefficients
           (Combination.drop_negligible ~eps:1e-6 d.Metric_solver.combination)
@@ -241,7 +241,7 @@ let check claim =
           (String.concat " "
              (String.split_on_char '\n' (Combination.to_string got))) )
     | Fig2_shape { category; min_zero_noise; min_noisy } ->
-      let r = result_of category in
+      let r = result_of ?run category in
       let series = Noise_filter.variability_series r.Pipeline.classified in
       let zeros =
         Array.to_list series |> List.filter (fun (_, v) -> v = 0.0) |> List.length
@@ -255,7 +255,7 @@ let check claim =
         Printf.sprintf "%d zero-noise (>= %d), %d noisy (>= %d)" zeros
           min_zero_noise noisy min_noisy )
     | Fig3_max_deviation { bound } ->
-      let panels = Report.fig3_panels (result_of Category.Dcache) in
+      let panels = Report.fig3_panels (result_of ?run Category.Dcache) in
       let worst =
         List.fold_left
           (fun acc (p : Report.fig3_panel) -> Float.max acc p.max_deviation)
@@ -265,7 +265,7 @@ let check claim =
   in
   { claim; passed; detail }
 
-let check_all () = List.map check claims
+let check_all ?run () = List.map (check ?run) claims
 
 let scorecard verdicts =
   let buf = Buffer.create 4096 in

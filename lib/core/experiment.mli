@@ -50,10 +50,12 @@ type verdict = {
   detail : string;  (** What was measured. *)
 }
 
-val check : claim -> verdict
-(** Evaluate one claim against a (cached) pipeline run. *)
+val check : ?run:Run.t -> claim -> verdict
+(** Evaluate one claim against a (cached) pipeline run.  [run]
+    (default {!Run.default}) is the context of the run the claim's
+    category first needs; cached runs are reused as they are. *)
 
-val check_all : unit -> verdict list
+val check_all : ?run:Run.t -> unit -> verdict list
 
 val scorecard : verdict list -> string
 (** Render pass/fail lines plus a summary. *)

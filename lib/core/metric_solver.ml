@@ -25,10 +25,6 @@ let define ~xhat ~names ~signature ~metric =
       Array.to_list
         (Array.mapi (fun j name -> (Linalg.Vec.get solution.Linalg.Lstsq.x j, name)) names)
     in
-    if Provenance.recording () then
-      List.iter
-        (fun (coef, event) -> Provenance.emit_membership ~event ~metric ~coef)
-        combination;
     {
       metric;
       combination;

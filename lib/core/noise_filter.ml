@@ -55,27 +55,15 @@ let publish_tallies classified =
 
 let classify ?(measure = Max_rnmse) ~tau (dataset : Cat_bench.Dataset.t) =
   let classified =
-    List.map
-      (fun (m : Cat_bench.Dataset.measurement) ->
-        let c = classify_measurement ~measure ~tau m in
-        if Provenance.recording () then
-          Provenance.emit_noise ~event:m.event.Hwsim.Event.name
-            ~description:m.event.Hwsim.Event.description
-            ~measure:(measure_name measure) ~variability:c.variability ~tau
-            ~status:(provenance_status c.status);
-        c)
-      dataset.measurements
+    List.map (classify_measurement ~measure ~tau) dataset.measurements
   in
   publish_tallies classified;
   classified
 
-(* Shard-local classification: same verdicts as [classify], but no
-   provenance emission — a shard may run in another process, so the
-   merge stage re-emits the noise facts from the shard artifacts in
-   catalog order (one emission path for in-process and serialized
-   shards alike).  The per-shard counters feed the sharding
-   observability story alongside the noise_filter.* totals, which sum
-   across shards to the monolithic values. *)
+(* Shard-local classification: same verdicts as [classify], plus the
+   per-shard counters that feed the sharding observability story
+   alongside the noise_filter.* totals, which sum across shards to the
+   monolithic values. *)
 let classify_shard ?(measure = Max_rnmse) ~tau (dataset : Cat_bench.Dataset.t) =
   let classified =
     List.map (classify_measurement ~measure ~tau) dataset.measurements

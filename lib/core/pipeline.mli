@@ -35,44 +35,46 @@ type result = Stage.result = {
   xhat : Linalg.Mat.t;  (** The chosen columns of [x]. *)
   metrics : Metric_solver.metric_def list;  (** One per signature. *)
   mutable ledger : Provenance.Ledger.t option;
-      (** The per-event provenance ledger, populated by the run when
-          {!Provenance.recording} was on (and cached here by {!ledger}
-          otherwise).  Recording changes nothing else in the result —
-          the stages only {e read} extra state to emit facts. *)
+      (** The per-event provenance ledger: filled by the run when its
+          context set [record_ledger], and cached here by {!ledger}
+          otherwise.  Either way it is {!Stage.assemble_ledger} of the
+          result, so it changes nothing else in the result. *)
 }
 
-val run : ?config:config -> ?shards:int -> Category.t -> result
+val run : ?run:Run.t -> ?config:config -> ?shards:int -> Category.t -> result
 (** Run the full pipeline for one category.  [config] defaults to
     the category's paper parameters.  [shards] (default 1) splits
     data collection and noise filtering into that many catalog-range
     shards via {!Stage.run_sharded}; the outputs — chosen events,
     metric definitions, provenance ledger — are bit-identical for
     every shard count.  Raises [Invalid_argument] if [shards < 1].
-    When a pre-flight hook is installed ({!Stage.set_preflight},
-    normally via [Check.install_gate]), the category's declarative
-    inputs are linted first and {!Stage.Preflight_failed} is raised
-    on any error-severity diagnostic; with no hook (the default) the
-    run is unchanged. *)
+    [run] (default {!Run.default}) is the run context: when it carries
+    a pre-flight gate, the category's declarative inputs are linted
+    first and {!Stage.Preflight_failed} is raised on any
+    error-severity diagnostic; when it carries a manifest sink, the
+    run emits one manifest to it. *)
 
 val run_custom :
-  config:config -> category:Category.t -> dataset:Cat_bench.Dataset.t ->
-  basis:Expectation.t -> signatures:Signature.t list -> unit -> result
+  ?run:Run.t -> config:config -> category:Category.t ->
+  dataset:Cat_bench.Dataset.t -> basis:Expectation.t ->
+  signatures:Signature.t list -> unit -> result
 (** Run the pipeline on arbitrary inputs: a dataset from any source
     (another machine's catalog, CSV-imported real measurements, an
     ablation variant), any expectation basis, any signature set.
-    [category] only labels the result for reporting. *)
+    [category] only labels the result for reporting.  The context's
+    manifest sink and [record_ledger] apply; its pre-flight gate does
+    not (it lints the category's own catalog, not [dataset]). *)
 
 val run_all : unit -> result list
 (** All four categories with default parameters. *)
 
 val ledger : result -> Provenance.Ledger.t
-(** The result's provenance ledger.  If the run recorded one (see
-    {!Provenance.set_recording}) it is returned as-is; otherwise it is
-    rebuilt from the stage outputs the result already carries (one
+(** The result's provenance ledger.  If the run recorded one (its
+    context set [record_ledger]) it is returned as-is; otherwise it is
+    assembled from the stage outputs the result already carries (one
     extra specialized-QRCP factorization, like {!Report.qrcp_trace})
-    and cached on the result.  The two paths are bit-identical — the
-    recorded ledger is the emission-side view, the rebuilt one the
-    pure re-derivation, and the drift tests pin them equal. *)
+    and cached on the result.  Both paths go through
+    {!Stage.assemble_ledger}, and the tests pin them bit-equal. *)
 
 val metric : result -> string -> Metric_solver.metric_def
 (** Lookup a metric definition by name; raises [Not_found]. *)

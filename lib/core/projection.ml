@@ -26,13 +26,7 @@ let project_one basis ~mean =
     (s.Linalg.Lstsq.x, s.Linalg.Lstsq.relative_residual)
   end
 
-let emit_one ~tol (p : projected) =
-  Provenance.emit_projection ~event:p.event.Hwsim.Event.name
-    ~residual:p.relative_residual ~tol ~accepted:p.accepted
-    ~representation:(Linalg.Vec.to_array p.representation)
-
-let count_projected ~tol projected =
-  if Provenance.recording () then List.iter (emit_one ~tol) projected;
+let count_projected projected =
   if Obs.enabled () then begin
     let acc =
       List.length (List.filter (fun p -> p.accepted) projected)
@@ -43,7 +37,7 @@ let count_projected ~tol projected =
   projected
 
 let project ~tol basis classified =
-  count_projected ~tol @@
+  count_projected @@
   let diag = Expectation.diagnostics basis in
   if diag.Expectation.full_rank then begin
     (* Factor E once; every event then costs one orthogonal apply and

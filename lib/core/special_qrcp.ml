@@ -115,11 +115,6 @@ let factor_full ~alpha x =
        | Some (best, step) ->
          let sp = Obs.begin_span "qrcp-pivot" in
          trace := step :: !trace;
-         if Provenance.recording () then
-           Provenance.emit_pick ~col:step.pick ~round:(i + 1)
-             ~score:step.score ~trailing_norm:step.trailing_norm
-             ~candidates:step.candidates ~runner_up:step.runner_up
-             ~runner_up_score:step.runner_up_score;
          let pivot = best.c_j in
          Linalg.Mat.swap_cols a i pivot;
          let tmp = perm.(i) in
@@ -174,12 +169,6 @@ let factor_full ~alpha x =
           })
     end
   in
-  if Provenance.recording () then
-    List.iter
-      (fun l ->
-        Provenance.emit_elimination ~col:l.col ~reason:l.reason
-          ~final_norm:l.final_norm ~beta:beta_threshold)
-      leftovers;
   ( { perm; rank; scores = Array.sub scores 0 rank },
     List.rev !trace,
     leftovers )

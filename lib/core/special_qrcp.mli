@@ -90,10 +90,10 @@ val factor_traced : alpha:float -> Linalg.Mat.t -> result * step list
 val factor_full :
   alpha:float -> Linalg.Mat.t -> result * step list * leftover list
 (** Like {!factor_traced}, also returning the elimination verdict of
-    every unchosen column.  When provenance recording is on, every
-    pick and elimination is also emitted to the collector (by column
-    index); the extra work is read-only, so the factorization itself
-    is bit-identical either way. *)
+    every unchosen column; reading the trailing norms is read-only, so
+    the factorization itself is bit-identical to {!factor}'s.  The
+    steps and leftovers are what [Stage.assemble_ledger] turns into
+    the ledger's QRCP verdicts. *)
 
 val chosen_columns : alpha:float -> Linalg.Mat.t -> int array
 (** First [rank] entries of the permutation, in pick order. *)

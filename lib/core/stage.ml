@@ -32,41 +32,26 @@ let default_config category =
 (* Optional pre-flight gate                                            *)
 (*                                                                     *)
 (* lib/check sits above core in the dependency order, so the static    *)
-(* analyzer cannot be called by name from here; instead it installs    *)
-(* itself through this hook (Check.install_gate).  Off by default:     *)
-(* with no hook installed the drivers below are bit-identical to a     *)
-(* build without the gate.  The hook is read-only over declarative     *)
-(* inputs (zero kernel executions), so enabling it on clean inputs     *)
-(* changes no pipeline output.                                         *)
+(* analyzer cannot be called by name from here; the caller passes it   *)
+(* in as the run context's [preflight] (Check.gate_lint).  The lint is *)
+(* read-only over declarative inputs (zero kernel executions), so      *)
+(* enabling it on clean inputs changes no pipeline output.             *)
 (* ------------------------------------------------------------------ *)
 
 exception Preflight_failed of Diagnostic.t list
 
-let preflight_hook : (Category.t -> Diagnostic.t list) option ref = ref None
-
-let set_preflight h = preflight_hook := h
-
-let preflight_installed () = !preflight_hook <> None
-
-(* Severity counts of the most recent pre-flight, kept so the run
-   manifest can record what the gate saw.  Always refreshed by
-   [preflight_check] (None when no hook is installed). *)
-let last_lint : Obs.Manifest.lint_summary option ref = ref None
-
-let preflight_check category =
-  match !preflight_hook with
-  | None -> last_lint := None
-  | Some lint ->
-    let diags = lint category in
-    last_lint :=
-      Some
-        {
-          Obs.Manifest.errors = Diagnostic.count Diagnostic.Error diags;
-          warns = Diagnostic.count Diagnostic.Warn diags;
-          infos = Diagnostic.count Diagnostic.Info diags;
-        };
-    let errors = Diagnostic.errors diags in
-    if errors <> [] then raise (Preflight_failed errors)
+let preflight_check (run : Run.t) category =
+  Option.map
+    (fun lint ->
+      let diags = lint category in
+      let errors = Diagnostic.errors diags in
+      if errors <> [] then raise (Preflight_failed errors);
+      {
+        Obs.Manifest.errors = Diagnostic.count Diagnostic.Error diags;
+        warns = Diagnostic.count Diagnostic.Warn diags;
+        infos = Diagnostic.count Diagnostic.Info diags;
+      })
+    run.preflight
 
 type result = {
   category : Category.t;
@@ -268,11 +253,97 @@ let classify ~config dataset =
   Obs.span "noise-filter" (fun () ->
       Noise_filter.classify ~tau:config.tau dataset)
 
-(* Callers own Provenance.begin_run (the noise facts precede this
-   stage: the monolithic classify emits them itself, the merge stage
-   re-emits them from the shard artifacts); finalize happens here
-   because only this stage knows the accepted column names. *)
-let downstream ~config ~category ~basis ~signatures ~classified () =
+(* Every verdict in the ledger is recoverable from the stage outputs the
+   result carries, plus the QRCP's pick rounds and leftovers, which the
+   caller passes from its Special_qrcp.factor_full call. *)
+let assemble_ledger (r : result) ~steps ~leftovers =
+  let module L = Provenance.Ledger in
+  let proj_by_name = Hashtbl.create 64 in
+  List.iter
+    (fun (p : Projection.projected) ->
+      Hashtbl.replace proj_by_name p.event.Hwsim.Event.name
+        {
+          L.residual = p.relative_residual;
+          tol = r.config.projection_tol;
+          accepted = p.accepted;
+          representation = Linalg.Vec.to_array p.representation;
+        })
+    r.projected;
+  let qrcp_by_name = Hashtbl.create 64 in
+  List.iteri
+    (fun i (s : Special_qrcp.step) ->
+      Hashtbl.replace qrcp_by_name r.x_names.(s.pick)
+        (L.Picked
+           {
+             round = i + 1;
+             score = s.score;
+             trailing_norm = s.trailing_norm;
+             candidates = s.candidates;
+             runner_up = Option.map (fun c -> r.x_names.(c)) s.runner_up;
+             runner_up_score = s.runner_up_score;
+           }))
+    steps;
+  let beta =
+    Special_qrcp.beta ~alpha:r.config.alpha ~rows:(Linalg.Mat.rows r.x)
+  in
+  List.iter
+    (fun (l : Special_qrcp.leftover) ->
+      Hashtbl.replace qrcp_by_name r.x_names.(l.col)
+        (L.Dropped
+           { reason = l.reason; final_norm = l.final_norm; beta }))
+    leftovers;
+  let members_by_name = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Metric_solver.metric_def) ->
+      List.iter
+        (fun (coef, event) ->
+          let cell =
+            match Hashtbl.find_opt members_by_name event with
+            | Some c -> c
+            | None ->
+              let c = ref [] in
+              Hashtbl.add members_by_name event c;
+              c
+          in
+          cell := (d.metric, coef) :: !cell)
+        d.combination)
+    r.metrics;
+  let entries =
+    List.map
+      (fun (c : Noise_filter.classified) ->
+        let name = c.event.Hwsim.Event.name in
+        {
+          L.event = name;
+          description = c.event.Hwsim.Event.description;
+          noise =
+            {
+              measure = Noise_filter.measure_name Noise_filter.Max_rnmse;
+              variability = c.variability;
+              tau = r.config.tau;
+              status = Noise_filter.provenance_status c.status;
+            };
+          projection = Hashtbl.find_opt proj_by_name name;
+          qrcp = Hashtbl.find_opt qrcp_by_name name;
+          memberships =
+            (match Hashtbl.find_opt members_by_name name with
+            | Some cell -> List.rev !cell
+            | None -> []);
+        })
+      r.classified
+  in
+  {
+    L.version = L.schema_version;
+    category = Category.name r.category;
+    machine = Category.machine r.category;
+    tau = r.config.tau;
+    alpha = r.config.alpha;
+    projection_tol = r.config.projection_tol;
+    basis_labels = Expectation.labels r.basis;
+    entries;
+  }
+
+let downstream ?(record_ledger = false) ~config ~category ~basis ~signatures
+    ~classified () =
   let projected, (x, x_names) =
     Obs.span "projection" (fun () ->
         let projected =
@@ -281,7 +352,9 @@ let downstream ~config ~category ~basis ~signatures ~classified () =
         in
         (projected, Projection.to_matrix projected))
   in
-  let qr = Obs.span "qrcp" (fun () -> Special_qrcp.factor ~alpha:config.alpha x) in
+  let qr, steps, leftovers =
+    Obs.span "qrcp" (fun () -> Special_qrcp.factor_full ~alpha:config.alpha x)
+  in
   let chosen = Array.sub qr.Special_qrcp.perm 0 qr.Special_qrcp.rank in
   let chosen_names = Array.map (fun j -> x_names.(j)) chosen in
   let xhat = Linalg.Mat.select_cols x chosen in
@@ -290,68 +363,41 @@ let downstream ~config ~category ~basis ~signatures ~classified () =
         Metric_solver.define_all ~xhat ~names:chosen_names ~basis signatures)
   in
   if Obs.enabled () then Obs.add "pipeline.metrics_defined" (float_of_int (List.length metrics));
-  let ledger =
-    if Provenance.recording () then begin
-      let l =
-        Provenance.finalize ~category:(Category.name category)
-          ~machine:(Category.machine category) ~tau:config.tau
-          ~alpha:config.alpha ~projection_tol:config.projection_tol
-          ~basis_labels:(Expectation.labels basis) ~column_names:x_names ()
-      in
-      publish_ledger_counters l;
-      Some l
-    end
-    else None
+  let r =
+    {
+      category;
+      config;
+      basis;
+      basis_diagnostics = Expectation.diagnostics basis;
+      classified;
+      projected;
+      x;
+      x_names;
+      chosen;
+      chosen_names;
+      xhat;
+      metrics;
+      ledger = None;
+    }
   in
-  {
-    category;
-    config;
-    basis;
-    basis_diagnostics = Expectation.diagnostics basis;
-    classified;
-    projected;
-    x;
-    x_names;
-    chosen;
-    chosen_names;
-    xhat;
-    metrics;
-    ledger;
-  }
+  if record_ledger then begin
+    let l = assemble_ledger r ~steps ~leftovers in
+    publish_ledger_counters l;
+    r.ledger <- Some l
+  end;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Run manifests                                                       *)
 (*                                                                     *)
-(* Like the pre-flight gate, manifest emission is hook-installed and   *)
-(* off by default: with no hook the drivers below cost one ref check   *)
-(* and remain bit-identical to a build without manifests.  When a      *)
-(* hook is installed (Stage.set_manifest, wired by analyze --manifest  *)
-(* and the bench harness), every run scopes a Recorder sink around     *)
-(* itself, snapshots it into a schema-versioned Obs.Manifest.t —       *)
-(* config digest, per-stage span timings + latency histograms + GC     *)
-(* deltas, counters/gauges, ledger fate totals, the lint summary and   *)
-(* content hashes of any shard/ledger artifacts — and hands it to the  *)
-(* hook.                                                               *)
+(* When the run context carries a manifest sink (analyze --manifest,   *)
+(* the bench harness), every run scopes a Recorder sink around itself, *)
+(* snapshots it into a schema-versioned Obs.Manifest.t — config        *)
+(* digest, per-stage span timings + latency histograms + GC deltas,    *)
+(* counters/gauges, ledger fate totals, the lint summary and content   *)
+(* hashes of any shard/ledger artifacts — and hands it to the sink.    *)
+(* Without one the drivers below run [f] and nothing else.             *)
 (* ------------------------------------------------------------------ *)
-
-let manifest_hook : (Obs.Manifest.t -> unit) option ref = ref None
-
-let set_manifest h = manifest_hook := h
-
-let manifest_installed () = !manifest_hook <> None
-
-(* Reentrancy guard: run_sharded wraps itself, and calls run_merged,
-   which also wraps itself (so `analyze merge` gets a manifest too);
-   the inner wrap must be a no-op or one run would emit twice. *)
-let manifest_active = ref false
-
-let manifest_artifacts : (string * string) list ref = ref []
-
-let note_artifact name json =
-  if !manifest_active then
-    manifest_artifacts :=
-      (name, Obs.Manifest.fnv64_hex (Jsonio.to_string json))
-      :: !manifest_artifacts
 
 let fate_totals (r : result) =
   let events = List.length r.classified in
@@ -405,48 +451,47 @@ let gc_pairs (d : Obs.Gc_sample.t) =
     ("top_heap_words", f d.Obs.Gc_sample.top_heap_words);
   ]
 
-let with_manifest ~source ~category ~config ~shards ?jobs f =
+let with_manifest ~(run : Run.t) ~source ~category ~config ~shards ?jobs
+    ?(gate = false) f =
   let jobs =
     match jobs with Some j -> j | None -> Executor.jobs (Executor.default ())
   in
-  match !manifest_hook with
-  | Some emit when not !manifest_active ->
-    manifest_active := true;
-    manifest_artifacts := [];
-    last_lint := None;
+  match run.manifest with
+  | None ->
+    if gate then ignore (preflight_check run category);
+    f None
+  | Some emit ->
+    let artifacts = ref [] in
+    let note name json =
+      artifacts :=
+        (name, Obs.Manifest.fnv64_hex (Jsonio.to_string json)) :: !artifacts
+    in
     let recorder = Obs.Recorder.create () in
     let sink = Obs.Recorder.sink recorder in
     Obs.install sink;
     let gc_before = Obs.Gc_sample.take () in
-    let finish () =
-      Obs.uninstall sink;
-      manifest_active := false
-    in
-    let r =
-      try f ()
+    let lint, r =
+      try
+        let lint = if gate then preflight_check run category else None in
+        let r = f (Some note) in
+        (lint, r)
       with e ->
-        finish ();
-        manifest_artifacts := [];
+        Obs.uninstall sink;
         raise e
     in
     let gc_delta =
       Obs.Gc_sample.delta ~before:gc_before ~after:(Obs.Gc_sample.take ())
     in
-    (match r.ledger with
-    | Some l -> note_artifact "ledger" (Provenance.Ledger.to_json l)
-    | None -> ());
-    finish ();
-    let artifacts = List.rev !manifest_artifacts in
-    manifest_artifacts := [];
+    Option.iter (fun l -> note "ledger" (Provenance.Ledger.to_json l)) r.ledger;
+    Obs.uninstall sink;
     let m =
       Obs.Manifest.of_recorder ~source ~label:(Category.name category)
         ~config:(config_pairs ~category ~config ~shards ~jobs r)
-        ~totals:(fate_totals r) ~gc:(gc_pairs gc_delta) ?lint:!last_lint
-        ~artifacts recorder
+        ~totals:(fate_totals r) ~gc:(gc_pairs gc_delta) ?lint
+        ~artifacts:(List.rev !artifacts) recorder
     in
     emit m;
     r
-  | _ -> f ()
 
 (* ------------------------------------------------------------------ *)
 (* Shard artifact JSON (versioned, non-finite-safe)                    *)
@@ -658,28 +703,17 @@ let shard_equal a b =
 (* Sharded drivers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let split_ledger (l : Provenance.Ledger.t) ranges =
-  let arr = Array.of_list l.Provenance.Ledger.entries in
-  List.filter_map
-    (fun { lo; hi } ->
-      if lo >= hi then None
-      else
-        Some
-          {
-            l with
-            Provenance.Ledger.entries = Array.to_list (Array.sub arr lo (hi - lo));
-          })
-    ranges
-
-let run_merged_inner ~category shards =
-  (* When a manifest is being collected, content-hash each incoming
-     shard artifact (its canonical JSON) before touching it — the
-     manifest then proves which inputs the run consumed.  Off the
-     manifest path this serializes nothing. *)
-  if !manifest_active then
-    List.iter
-      (fun s -> note_artifact ("shard" ^ range_pp s.range) (shard_to_json s))
-      shards;
+(* [note] is the manifest's artifact accumulator when one is being
+   collected: each incoming shard artifact is content-hashed (its
+   canonical JSON) before it is touched, so the manifest proves which
+   inputs the run consumed.  Without it nothing is serialized. *)
+let merge_and_downstream ~(run : Run.t) ~note ~category shards =
+  Option.iter
+    (fun note ->
+      List.iter
+        (fun s -> note ("shard" ^ range_pp s.range) (shard_to_json s))
+        shards)
+    note;
   let merged =
     match
       Obs.span "shard-merge" (fun () ->
@@ -698,58 +732,17 @@ let run_merged_inner ~category shards =
     invalid_arg
       (Printf.sprintf "Stage.run_merged: shards are for machine %s, not %s"
          merged.machine (Category.machine category));
-  let config = merged.shard_config in
-  (* The shards never emit provenance (they may have lived in another
-     process); the noise facts re-enter here, in catalog order, so the
-     final ledger is bit-identical to the monolithic run's. *)
-  if Provenance.recording () then begin
-    Provenance.begin_run ();
-    List.iter
-      (fun (c : Noise_filter.classified) ->
-        Provenance.emit_noise ~event:c.event.Hwsim.Event.name
-          ~description:c.event.Hwsim.Event.description ~measure:merged.measure
-          ~variability:c.variability ~tau:config.tau
-          ~status:(Noise_filter.provenance_status c.status))
-      merged.entries
-  end;
-  let r =
-    downstream ~config ~category ~basis:(Category.basis category)
-      ~signatures:(Category.signatures category) ~classified:merged.entries ()
-  in
-  (* Reassemble the recorded ledger through Ledger.merge: split at the
-     shard boundaries and fold the per-shard audit documents back into
-     one — every sharded run exercises the conflict-detecting merge,
-     and the result is the same coherent document (entries concatenate
-     in catalog order). *)
-  (match r.ledger with
-  | None -> ()
-  | Some l ->
-    let ranges =
-      List.sort compare (List.map (fun s -> (s.range.lo, s.range.hi)) shards)
-      |> List.map (fun (lo, hi) -> { lo; hi })
-    in
-    let folded =
-      match split_ledger l ranges with
-      | [] -> l
-      | piece :: rest ->
-        List.fold_left
-          (fun acc p ->
-            match Provenance.Ledger.merge acc p with
-            | Ok m -> m
-            | Error msg ->
-              invalid_arg ("Stage.run_merged: ledger merge: " ^ msg))
-          piece rest
-    in
-    r.ledger <- Some folded);
-  r
+  downstream ~record_ledger:run.record_ledger ~config:merged.shard_config
+    ~category ~basis:(Category.basis category)
+    ~signatures:(Category.signatures category) ~classified:merged.entries ()
 
-let run_merged ~category shards =
+let run_merged ?(run = Run.default) ~category shards =
   match shards with
-  | [] -> run_merged_inner ~category shards (* raises the merge error *)
+  | [] -> merge_and_downstream ~run ~note:None ~category shards (* raises *)
   | first :: _ ->
-    with_manifest ~source:"pipeline-merge" ~category
-      ~config:first.shard_config ~shards:(List.length shards) (fun () ->
-        run_merged_inner ~category shards)
+    with_manifest ~run ~source:"pipeline-merge" ~category
+      ~config:first.shard_config ~shards:(List.length shards) (fun note ->
+        merge_and_downstream ~run ~note ~category shards)
 
 (* DESIGN.md §11's counter contract, asserted at runtime whenever the
    collector is live: across one sharded front, the shard.events /
@@ -822,16 +815,15 @@ let run_front ~config ~category ~executor ~shards ranges =
     Array.iter (fun (_, cap) -> Option.iter Obs.replay cap) tagged;
     Array.to_list (Array.map fst tagged)
 
-let run_sharded ?config ?executor ~shards category =
+let run_sharded ?(run = Run.default) ?config ?executor ~shards category =
   let config =
     match config with Some c -> c | None -> default_config category
   in
   let executor =
     match executor with Some e -> e | None -> Executor.default ()
   in
-  with_manifest ~source:"pipeline" ~category ~config ~shards
-    ~jobs:(Executor.jobs executor) (fun () ->
-      preflight_check category;
+  with_manifest ~run ~source:"pipeline" ~category ~config ~shards
+    ~jobs:(Executor.jobs executor) ~gate:true (fun note ->
       Obs.span "pipeline" (fun () ->
           Obs.attr_str "category" (Category.name category);
           if Obs.enabled () then Obs.attr_int "shards" shards;
@@ -856,4 +848,4 @@ let run_sharded ?config ?executor ~shards category =
           (match before with
           | Some b -> check_shard_counter_invariant ~category ~before:b
           | None -> ());
-          run_merged ~category classified_shards))
+          merge_and_downstream ~run ~note ~category classified_shards))

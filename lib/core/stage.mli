@@ -58,10 +58,8 @@ type result = {
 
 (** {1 Optional pre-flight gate}
 
-    [lib/check] sits above core in the dependency order, so the
-    static analyzer installs itself through a hook
-    ([Check.install_gate]) rather than being called by name.  Off by
-    default; when installed, {!Pipeline.run} and {!run_sharded} lint
+    Off unless the run context carries one (the [preflight] field of
+    {!Run.t}).  When it does, {!Pipeline.run} and {!run_sharded} lint
     the category's declarative inputs (zero kernel executions) before
     collecting anything and raise {!Preflight_failed} carrying the
     error-severity diagnostics.  On clean inputs the gate changes no
@@ -69,48 +67,43 @@ type result = {
 
 exception Preflight_failed of Diagnostic.t list
 
-val set_preflight : (Category.t -> Diagnostic.t list) option -> unit
-(** Install (or, with [None], remove) the pre-flight lint hook. *)
-
-val preflight_installed : unit -> bool
-
-val preflight_check : Category.t -> unit
-(** Run the installed hook, raising {!Preflight_failed} if any
-    diagnostic has error severity; a no-op when no hook is
-    installed. *)
+val preflight_check : Run.t -> Category.t -> Obs.Manifest.lint_summary option
+(** Run the context's gate, raising {!Preflight_failed} if any
+    diagnostic has error severity; otherwise return the severity
+    counts the manifest records.  [None] when the context has no
+    gate. *)
 
 (** {1 Run manifests}
 
-    Manifest emission follows the same hook discipline as the
-    pre-flight gate: off by default (one ref check, bit-identical
-    behaviour), and when a hook is installed every {!Pipeline.run},
-    {!run_sharded} and {!run_merged} scopes an {!Obs.Recorder} around
-    itself and hands the hook a schema-versioned {!Obs.Manifest.t}
-    carrying the config digest (category, machine, τ/α/β, projection
-    tolerance, reps, shard count), per-stage span timings with latency
-    histograms and GC deltas, all counters and gauges, the ledger fate
-    totals, the latest pre-flight lint summary and content hashes of
-    the shard/ledger artifacts the run consumed or produced. *)
-
-val set_manifest : (Obs.Manifest.t -> unit) option -> unit
-(** Install (or, with [None], remove) the manifest emission hook. *)
-
-val manifest_installed : unit -> bool
+    Off unless the run context carries a sink (the [manifest] field of
+    {!Run.t}).  When it does, every {!Pipeline.run},
+    {!Pipeline.run_custom}, {!run_sharded} and {!run_merged} scopes an
+    {!Obs.Recorder} around itself and hands the sink one
+    schema-versioned {!Obs.Manifest.t} carrying the config digest
+    (category, machine, τ/α/β, projection tolerance, reps, shard
+    count), per-stage span timings with latency histograms and GC
+    deltas, all counters and gauges, the ledger fate totals, the
+    pre-flight lint summary and content hashes of the shard/ledger
+    artifacts the run consumed or produced. *)
 
 val with_manifest :
+  run:Run.t ->
   source:string ->
   category:Category.t ->
   config:config ->
   shards:int ->
   ?jobs:int ->
-  (unit -> result) ->
+  ?gate:bool ->
+  ((string -> Jsonio.t -> unit) option -> result) ->
   result
 (** Run [f] under scoped manifest collection and emit the manifest to
-    the installed hook.  Exactly [f ()] when no hook is installed;
-    reentrant calls (run_sharded wrapping run_merged) collect once,
-    at the outermost scope.  On exception the recorder is torn down
-    and nothing is emitted.  [jobs] is recorded in the manifest config
-    (defaults to the jobs of {!Exec.default}). *)
+    the context's sink.  [f] receives the artifact accumulator (name
+    and canonical JSON; [None] when no manifest is collected).  With
+    [gate] (default false) the context's pre-flight gate runs first,
+    inside the scope.  Without a sink this is the gate and [f None].
+    On exception the recorder is torn down and nothing is emitted.
+    [jobs] is recorded in the manifest config (defaults to the jobs of
+    {!Exec.default}). *)
 
 val fate_totals : result -> (string * float) list
 (** The ledger fate totals of a finished run, recomputed from the
@@ -167,9 +160,8 @@ val collect_shard :
 
 val classify_shard :
   config:config -> category:Category.t -> dataset_shard -> classified_shard
-(** Run the noise filter on one shard.  Emits no provenance (the
-    merge stage re-emits noise facts from the artifacts); publishes
-    [shard.events] / [shard.kept] counters. *)
+(** Run the noise filter on one shard; publishes [shard.events] /
+    [shard.kept] counters. *)
 
 (** {1 Merge stage} *)
 
@@ -186,45 +178,45 @@ val merge_shards :
 
 val classify :
   config:config -> Cat_bench.Dataset.t -> Noise_filter.classified list
-(** The monolithic noise-filter stage (with provenance emission),
-    inside the ["noise-filter"] span — what {!Pipeline.run} uses. *)
+(** The monolithic noise-filter stage, inside the ["noise-filter"]
+    span — what {!Pipeline.run} uses. *)
 
 val downstream :
-  config:config -> category:Category.t -> basis:Expectation.t ->
-  signatures:Signature.t list -> classified:Noise_filter.classified list ->
-  unit -> result
-(** Projection -> specialized QRCP -> metric definitions, plus
-    provenance finalization when recording.  The caller owns
-    [Provenance.begin_run] and the noise-fact emission (they precede
-    this stage). *)
+  ?record_ledger:bool -> config:config -> category:Category.t ->
+  basis:Expectation.t -> signatures:Signature.t list ->
+  classified:Noise_filter.classified list -> unit -> result
+(** Projection -> specialized QRCP -> metric definitions.  With
+    [record_ledger] (default false) the provenance ledger is assembled
+    from the same QRCP factorization ({!assemble_ledger}), stored in
+    the result and published as [ledger.*] counters. *)
 
-val run_merged : category:Category.t -> classified_shard list -> result
+val assemble_ledger :
+  result -> steps:Special_qrcp.step list ->
+  leftovers:Special_qrcp.leftover list -> Provenance.Ledger.t
+(** The per-event provenance ledger of a finished result: every
+    verdict is read back from the stage outputs the result carries,
+    plus the pick rounds and leftovers of the result's
+    {!Special_qrcp.factor_full} factorization.  Entries are in catalog
+    order.  The one place a ledger is built. *)
+
+val run_merged :
+  ?run:Run.t -> category:Category.t -> classified_shard list -> result
 (** Merge the shards (raising [Invalid_argument] on any conflict
-    {!merge_shards} reports), re-emit their noise facts in catalog
-    order when recording, and run {!downstream} with the category's
-    basis and signatures.  The recorded ledger is reassembled through
-    [Provenance.Ledger.merge] at the shard boundaries, so every
-    sharded run exercises the conflict-detecting ledger merge. *)
+    {!merge_shards} reports) and run {!downstream} with the category's
+    basis and signatures.  [run] defaults to {!Run.default}; its gate
+    is not consulted (the shards are already collected). *)
 
 val run_sharded :
-  ?config:config -> ?executor:Exec.t -> shards:int -> Category.t -> result
-(** The full sharded pipeline: partition the catalog, collect and
-    classify each shard, merge, run downstream.  Bit-identical to
-    {!Pipeline.run} for every [shards >= 1], and — for every executor
-    — to the [Exec.Seq] reference: shards are pure functions of their
-    catalog range, worker-domain [Obs] events are captured and
-    replayed in shard order, and the merge is order-insensitive by
-    construction.  [executor] defaults to {!Exec.default}. *)
-
-val publish_ledger_counters : Provenance.Ledger.t -> unit
-(** Publish the [ledger.*] stage-total counters (used by the
-    downstream stage; exposed for Pipeline). *)
-
-val split_ledger :
-  Provenance.Ledger.t -> range list -> Provenance.Ledger.t list
-(** Cut a finalized ledger at shard boundaries (entry ranges; empty
-    ranges dropped) — the inverse of the [Ledger.merge] fold
-    {!run_merged} performs.  Exposed for the round-trip tests. *)
+  ?run:Run.t -> ?config:config -> ?executor:Exec.t -> shards:int ->
+  Category.t -> result
+(** The full sharded pipeline: pre-flight, partition the catalog,
+    collect and classify each shard, merge, run downstream — all inside
+    one manifest scope.  Bit-identical to {!Pipeline.run} for every
+    [shards >= 1], and — for every executor — to the [Exec.Seq]
+    reference: shards are pure functions of their catalog range,
+    worker-domain [Obs] events are captured and replayed in shard
+    order, and the merge is order-insensitive by construction.
+    [executor] defaults to {!Exec.default}, [run] to {!Run.default}. *)
 
 (** {1 Shard artifact JSON} *)
 

@@ -17,7 +17,7 @@
 
 val schema_version : int
 (** Version stamped into exports; {!of_json} rejects any other value
-    so shards from incompatible builds fail loudly. *)
+    so documents from incompatible builds fail loudly. *)
 
 (** {1 Per-stage verdicts} *)
 
@@ -135,12 +135,6 @@ val validate : t -> (unit, string) result
 (** Coherence check: schema version, unique event names, exactly one
     fate per entry, memberships only on chosen events, pick rounds
     exactly 1..rank. *)
-
-val merge : t -> t -> (t, string) result
-(** Merge ledgers over disjoint event ranges (the unit of exchange for
-    catalog sharding): categories, machines, thresholds and basis must
-    agree and event names must not overlap, else [Error] names the
-    conflict.  Entries concatenate in shard order. *)
 
 val equal : t -> t -> bool
 (** Structural equality with NaN-tolerant float comparison (used by

@@ -1,155 +1,1 @@
 module Ledger = Ledger
-
-(* Facts arrive keyed by what the emitting stage actually knows: the
-   noise filter and projection know event names, the QRCP knows only
-   column indices (of the accepted-representation matrix X), the metric
-   solver knows names again.  [finalize] owns the join. *)
-
-type qrcp_fact =
-  | Qpick of {
-      round : int;
-      score : float;
-      trailing_norm : float;
-      candidates : int;
-      runner_up : int option;
-      runner_up_score : float option;
-    }
-  | Qelim of {
-      reason : Ledger.elimination_reason;
-      final_norm : float;
-      beta : float;
-    }
-
-type noise_fact = {
-  nf_event : string;
-  nf_desc : string;
-  nf_measure : string;
-  nf_variability : float;
-  nf_tau : float;
-  nf_status : Ledger.noise_status;
-}
-
-let recording_flag = ref false
-
-let noise_rev : noise_fact list ref = ref []
-
-let proj_facts : (string, Ledger.projection) Hashtbl.t = Hashtbl.create 128
-
-let qrcp_facts : (int, qrcp_fact) Hashtbl.t = Hashtbl.create 128
-
-(* Per-event membership lists, accumulated in reverse emission order. *)
-let member_facts : (string, (string * float) list ref) Hashtbl.t =
-  Hashtbl.create 128
-
-let clear_facts () =
-  noise_rev := [];
-  Hashtbl.reset proj_facts;
-  Hashtbl.reset qrcp_facts;
-  Hashtbl.reset member_facts
-
-let recording () = !recording_flag
-
-let set_recording on =
-  recording_flag := on;
-  clear_facts ()
-
-let begin_run () = clear_facts ()
-
-let emit_noise ~event ~description ~measure ~variability ~tau ~status =
-  if !recording_flag then
-    noise_rev :=
-      { nf_event = event; nf_desc = description; nf_measure = measure;
-        nf_variability = variability; nf_tau = tau; nf_status = status }
-      :: !noise_rev
-
-let emit_projection ~event ~residual ~tol ~accepted ~representation =
-  if !recording_flag then
-    Hashtbl.replace proj_facts event
-      { Ledger.residual; tol; accepted; representation }
-
-let emit_pick ~col ~round ~score ~trailing_norm ~candidates ~runner_up
-    ~runner_up_score =
-  if !recording_flag then
-    Hashtbl.replace qrcp_facts col
-      (Qpick { round; score; trailing_norm; candidates; runner_up;
-               runner_up_score })
-
-let emit_elimination ~col ~reason ~final_norm ~beta =
-  if !recording_flag then
-    Hashtbl.replace qrcp_facts col (Qelim { reason; final_norm; beta })
-
-let emit_membership ~event ~metric ~coef =
-  if !recording_flag then begin
-    let cell =
-      match Hashtbl.find_opt member_facts event with
-      | Some c -> c
-      | None ->
-        let c = ref [] in
-        Hashtbl.add member_facts event c;
-        c
-    in
-    cell := (metric, coef) :: !cell
-  end
-
-let finalize ~category ~machine ~tau ~alpha ~projection_tol ~basis_labels
-    ~column_names () =
-  (* Column-index facts become name-keyed via the accepted-column name
-     table the caller (the pipeline) owns. *)
-  let qrcp_by_name = Hashtbl.create (Hashtbl.length qrcp_facts) in
-  Hashtbl.iter
-    (fun col fact ->
-      if col < 0 || col >= Array.length column_names then
-        invalid_arg
-          (Printf.sprintf
-             "Provenance.finalize: QRCP fact for column %d but X has %d \
-              columns"
-             col (Array.length column_names));
-      Hashtbl.replace qrcp_by_name column_names.(col) fact)
-    qrcp_facts;
-  let entry_of_noise (nf : noise_fact) =
-    let qrcp =
-      match Hashtbl.find_opt qrcp_by_name nf.nf_event with
-      | None -> None
-      | Some (Qpick p) ->
-        Some
-          (Ledger.Picked
-             {
-               round = p.round;
-               score = p.score;
-               trailing_norm = p.trailing_norm;
-               candidates = p.candidates;
-               runner_up =
-                 Option.map (fun c -> column_names.(c)) p.runner_up;
-               runner_up_score = p.runner_up_score;
-             })
-      | Some (Qelim e) ->
-        Some
-          (Ledger.Dropped
-             { reason = e.reason; final_norm = e.final_norm; beta = e.beta })
-    in
-    {
-      Ledger.event = nf.nf_event;
-      description = nf.nf_desc;
-      noise =
-        { measure = nf.nf_measure; variability = nf.nf_variability;
-          tau = nf.nf_tau; status = nf.nf_status };
-      projection = Hashtbl.find_opt proj_facts nf.nf_event;
-      qrcp;
-      memberships =
-        (match Hashtbl.find_opt member_facts nf.nf_event with
-        | Some cell -> List.rev !cell
-        | None -> []);
-    }
-  in
-  let entries = List.rev_map entry_of_noise !noise_rev in
-  clear_facts ();
-  {
-    Ledger.version = Ledger.schema_version;
-    category;
-    machine;
-    tau;
-    alpha;
-    projection_tol;
-    basis_labels;
-    entries;
-  }

@@ -1,66 +1,10 @@
-(** Provenance recording: the emit side of the per-event audit trail.
+(** The per-event provenance ledger: every verdict the pipeline passed
+    on a raw event, with the evidence and threshold that decided it.
 
-    Same discipline as [lib/obs]: recording is off by default and every
-    emission entry point is then a single flag check, so instrumented
-    stage code behaves bit-identically to uninstrumented code.  Stage
-    code {e emits} the facts it alone knows — the noise filter its
-    per-event variability verdicts, the projection its residuals and
-    representations, the specialized QRCP its pick rounds and
-    eliminations (by {e column index}), the metric solver the final
-    coefficients — and {!finalize} owns the aggregation: it joins the
-    facts into one {!Ledger.t} keyed by event name and clears the
-    collector for the next run.
-
-    The collector is process-global and single-run: the pipeline calls
-    {!begin_run} before its first stage and {!finalize} after its last.
-    It is not thread-safe (the analysis pipeline is single-threaded). *)
+    A ledger is derived from a finished run, never collected while it
+    runs: [Core.Stage.assemble_ledger] reads each verdict back from the
+    stage outputs the result carries.  This library holds the
+    document — its types, queries, validation, JSON form and decision
+    chains — and no state of its own. *)
 
 module Ledger = Ledger
-
-val recording : unit -> bool
-(** True iff emissions are being collected.  The disabled fast path of
-    every emission entry point. *)
-
-val set_recording : bool -> unit
-(** Turn recording on or off.  Either way the collector is cleared. *)
-
-val begin_run : unit -> unit
-(** Drop any facts from a previous (possibly aborted) run.  Called by
-    the pipeline before its first stage. *)
-
-(** {1 Emission}
-
-    All no-ops unless {!recording}.  Emitting the same key twice keeps
-    the later fact (last write wins, like a re-run stage). *)
-
-val emit_noise :
-  event:string -> description:string -> measure:string ->
-  variability:float -> tau:float -> status:Ledger.noise_status -> unit
-
-val emit_projection :
-  event:string -> residual:float -> tol:float -> accepted:bool ->
-  representation:float array -> unit
-
-val emit_pick :
-  col:int -> round:int -> score:float -> trailing_norm:float ->
-  candidates:int -> runner_up:int option -> runner_up_score:float option ->
-  unit
-(** [col] and [runner_up] are column indices into the accepted matrix
-    X; {!finalize} resolves them to event names. *)
-
-val emit_elimination :
-  col:int -> reason:Ledger.elimination_reason -> final_norm:float ->
-  beta:float -> unit
-
-val emit_membership : event:string -> metric:string -> coef:float -> unit
-
-(** {1 Aggregation} *)
-
-val finalize :
-  category:string -> machine:string -> tau:float -> alpha:float ->
-  projection_tol:float -> basis_labels:string array ->
-  column_names:string array -> unit -> Ledger.t
-(** Join all collected facts into a ledger (entries in noise-fact
-    emission order, i.e. catalog order) and clear the collector.
-    [column_names] maps QRCP column indices to event names; a fact for
-    a column outside it raises [Invalid_argument]. *)

@@ -401,47 +401,50 @@ let test_report_rejects_drift () =
 
 (* --- the optional pre-flight gate ----------------------------- *)
 
-let with_gate_cleanup f =
-  Fun.protect ~finally:(fun () -> Check.remove_gate ()) f
+let gated = { Core.Run.default with preflight = Some Check.gate_lint }
 
 let test_gate_off_by_default () =
-  Alcotest.(check bool) "no hook installed" false (Check.gate_installed ())
+  Alcotest.(check bool) "no gate by default" true
+    (Option.is_none Core.Run.default.preflight);
+  Alcotest.(check bool) "no lint summary without a gate" true
+    (Core.Stage.preflight_check Core.Run.default Core.Category.Branch = None)
 
 let test_gate_clean_inputs_identical () =
-  with_gate_cleanup (fun () ->
-      let ungated = Core.Pipeline.run Core.Category.Branch in
-      Check.install_gate ();
-      Alcotest.(check bool) "installed" true (Check.gate_installed ());
-      let gated = Core.Pipeline.run Core.Category.Branch in
-      Alcotest.(check (array string))
-        "chosen events identical" ungated.Core.Pipeline.chosen_names
-        gated.Core.Pipeline.chosen_names;
-      Alcotest.(check bool) "metric definitions identical" true
-        (ungated.Core.Pipeline.metrics = gated.Core.Pipeline.metrics));
-  Alcotest.(check bool) "removed" false (Check.gate_installed ())
+  let ungated = Core.Pipeline.run Core.Category.Branch in
+  let gated = Core.Pipeline.run ~run:gated Core.Category.Branch in
+  Alcotest.(check (array string))
+    "chosen events identical" ungated.Core.Pipeline.chosen_names
+    gated.Core.Pipeline.chosen_names;
+  Alcotest.(check bool) "metric definitions identical" true
+    (ungated.Core.Pipeline.metrics = gated.Core.Pipeline.metrics)
 
 let test_gate_fails_fast () =
-  with_gate_cleanup (fun () ->
-      (* A hook that reports an error-severity finding: the run must
-         stop before collecting anything. *)
-      Core.Stage.set_preflight
-        (Some
-           (fun _ ->
-             [ D.make ~rule:"test/forced-failure" ~severity:D.Error
-                 ~subject:"basis" "injected defect" ]));
-      match Core.Pipeline.run Core.Category.Branch with
+  (* A gate that reports an error-severity finding: the run must stop
+     before collecting anything, monolithic and sharded alike. *)
+  let failing =
+    {
+      Core.Run.default with
+      preflight =
+        Some
+          (fun _ ->
+            [ D.make ~rule:"test/forced-failure" ~severity:D.Error
+                ~subject:"basis" "injected defect" ]);
+    }
+  in
+  List.iter
+    (fun shards ->
+      match Core.Pipeline.run ~run:failing ~shards Core.Category.Branch with
       | _ -> Alcotest.fail "gated run did not fail fast"
       | exception Core.Stage.Preflight_failed ds ->
         Alcotest.(check (list string))
           "failure carries the diagnostics" [ "test/forced-failure" ]
-          (ids ds));
+          (ids ds))
+    [ 1; 2 ];
   (* And the gate's own per-category lint accepts the shipped
-     inputs: install_gate then run must succeed. *)
-  with_gate_cleanup (fun () ->
-      Check.install_gate ();
-      let r = Core.Pipeline.run Core.Category.Branch in
-      Alcotest.(check bool) "gated run completes" true
-        (Array.length r.Core.Pipeline.chosen_names > 0))
+     inputs: a gated run must succeed. *)
+  let r = Core.Pipeline.run ~run:gated Core.Category.Branch in
+  Alcotest.(check bool) "gated run completes" true
+    (Array.length r.Core.Pipeline.chosen_names > 0)
 
 let () =
   Alcotest.run "check"

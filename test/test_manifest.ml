@@ -2,20 +2,15 @@
    round-trip and rejection paths (foreign schema version, wrong kind,
    tampered config vs digest), diff classification (two runs of the
    same config must show zero non-timing differences), and inertness
-   of the manifest hook (no hook installed => the pipeline result is
-   bit-identical and no sink is left behind). *)
+   of the manifest sink (a run context without one => the pipeline
+   result is bit-identical and no sink is left behind). *)
 
 module M = Obs.Manifest
 module H = Obs.Histogram
 
 let with_clean_state f =
   Obs.clear ();
-  Core.Stage.set_manifest None;
-  Fun.protect
-    ~finally:(fun () ->
-      Core.Stage.set_manifest None;
-      Obs.clear ())
-    f
+  Fun.protect ~finally:Obs.clear f
 
 (* ------------------------------------------------------------------ *)
 (* Histogram quantiles                                                 *)
@@ -178,14 +173,11 @@ let test_strict_rejections () =
 (* Diff classification                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let capture_pipeline_manifest ?(shards = 1) category =
+let capture_pipeline_manifest ?(run = Core.Run.default) ?(shards = 1)
+    category =
   let captured = ref None in
-  Core.Stage.set_manifest (Some (fun m -> captured := Some m));
-  let r =
-    if shards = 1 then Core.Pipeline.run category
-    else Core.Pipeline.run ~shards category
-  in
-  Core.Stage.set_manifest None;
+  let run = { run with manifest = Some (fun m -> captured := Some m) } in
+  let r = Core.Pipeline.run ~run ~shards category in
   match !captured with
   | Some m -> (m, r)
   | None -> Alcotest.fail "pipeline emitted no manifest"
@@ -225,11 +217,12 @@ let test_diff_flags_real_differences () =
 
 let test_sharded_manifest_coherent () =
   with_clean_state @@ fun () ->
-  Provenance.set_recording true;
-  Fun.protect ~finally:(fun () -> Provenance.set_recording false)
-  @@ fun () ->
   let category = Core.Category.Branch in
-  let m, r = capture_pipeline_manifest ~shards:3 category in
+  let m, r =
+    capture_pipeline_manifest
+      ~run:{ Core.Run.default with record_ledger = true }
+      ~shards:3 category
+  in
   Alcotest.(check string) "source" "pipeline" m.M.source;
   Alcotest.(check (option string))
     "shard count recorded" (Some "3")
@@ -261,16 +254,14 @@ let test_sharded_manifest_coherent () =
 (* Inertness                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_inert_without_hook () =
+let test_inert_without_sink () =
   with_clean_state @@ fun () ->
-  Alcotest.(check bool) "no hook installed" false
-    (Core.Stage.manifest_installed ());
   let r0 = Core.Pipeline.run Core.Category.Branch in
   Alcotest.(check bool) "no sink left enabled" false (Obs.enabled ());
   let _, r1 = capture_pipeline_manifest Core.Category.Branch in
   Alcotest.(check bool) "recorder uninstalled after run" false (Obs.enabled ());
   let r2 = Core.Pipeline.run Core.Category.Branch in
-  (* The pipeline output is bit-identical with and without the hook. *)
+  (* The pipeline output is bit-identical with and without the sink. *)
   Alcotest.(check (array string))
     "chosen unchanged by manifest capture" r0.Core.Stage.chosen_names
     r1.Core.Stage.chosen_names;
@@ -307,5 +298,5 @@ let () =
             test_sharded_manifest_coherent;
         ] );
       ( "inertness",
-        [ test_case "no hook, no effect" `Quick test_inert_without_hook ] );
+        [ test_case "no hook, no effect" `Quick test_inert_without_sink ] );
     ]

@@ -1,8 +1,8 @@
 (* The per-event provenance ledger: recording inertness, the
    recorded-vs-rebuilt drift regression, exactly-one-fate coverage,
    agreement between ledger totals / Obs counters / the rendered
-   filter summary / the QRCP trace, the versioned JSON round trip, and
-   shard merging. *)
+   filter summary / the QRCP trace, the versioned JSON round trip and
+   validation. *)
 
 module L = Provenance.Ledger
 
@@ -12,25 +12,20 @@ let contains hay needle =
   nn = 0 || go 0
 
 let with_clean_state f =
-  Provenance.set_recording false;
   Obs.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Provenance.set_recording false;
-      Obs.clear ())
-    f
+  Fun.protect ~finally:Obs.clear f
+
+let recording = { Core.Run.default with record_ledger = true }
 
 let recorded_run category =
-  Provenance.set_recording true;
-  let r = Core.Pipeline.run category in
-  Provenance.set_recording false;
+  let r = Core.Pipeline.run ~run:recording category in
   (match r.Core.Pipeline.ledger with
   | Some _ -> ()
   | None -> Alcotest.fail "recording on but no ledger in the result");
   r
 
 (* ------------------------------------------------------------------ *)
-(* Recording is inert: outputs byte-identical with recording on/off    *)
+(* Recording is inert: outputs byte-identical with record_ledger on/off *)
 (* ------------------------------------------------------------------ *)
 
 let same_mat a b =
@@ -314,44 +309,8 @@ let test_json_fate_tamper_rejected () =
       (contains msg "contradicts the evidence")
 
 (* ------------------------------------------------------------------ *)
-(* Merge                                                               *)
+(* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let split_at k l =
-  let rec go i acc = function
-    | rest when i = k -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (i + 1) (x :: acc) rest
-  in
-  go 0 [] l
-
-let test_merge_disjoint () =
-  with_clean_state @@ fun () ->
-  let ledger = Core.Pipeline.ledger (recorded_run Core.Category.Branch) in
-  let a_entries, b_entries =
-    split_at (List.length ledger.L.entries / 3) ledger.L.entries
-  in
-  let a = { ledger with L.entries = a_entries } in
-  let b = { ledger with L.entries = b_entries } in
-  match L.merge a b with
-  | Error msg -> Alcotest.failf "disjoint shards do not merge: %s" msg
-  | Ok merged ->
-    Alcotest.(check bool) "merge reassembles the ledger" true
-      (L.equal ledger merged)
-
-let test_merge_conflicts () =
-  with_clean_state @@ fun () ->
-  let ledger = Core.Pipeline.ledger (recorded_run Core.Category.Branch) in
-  (match L.merge ledger ledger with
-  | Ok _ -> Alcotest.fail "overlapping shards merged"
-  | Error msg ->
-    Alcotest.(check bool) "overlap error names events" true
-      (contains msg "overlapping event names"));
-  let other_tau = { ledger with L.tau = ledger.L.tau *. 10.0; entries = [] } in
-  match L.merge ledger other_tau with
-  | Ok _ -> Alcotest.fail "threshold mismatch merged"
-  | Error msg ->
-    Alcotest.(check bool) "threshold error" true (contains msg "threshold")
 
 let test_validate_rejects_memberships_on_unchosen () =
   let bad =
@@ -434,12 +393,9 @@ let () =
             Alcotest.test_case "tampered fate rejected" `Quick
               test_json_fate_tamper_rejected;
           ] );
-      ( "merge",
+      ( "validate",
         [
-          Alcotest.test_case "disjoint shards reassemble" `Quick
-            test_merge_disjoint;
-          Alcotest.test_case "conflicts detected" `Quick test_merge_conflicts;
-          Alcotest.test_case "validate rejects stray memberships" `Quick
+          Alcotest.test_case "rejects stray memberships" `Quick
             test_validate_rejects_memberships_on_unchosen;
         ] );
       ("chains", per_category "kept+discarded" check_chains);

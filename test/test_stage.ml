@@ -2,19 +2,17 @@
    equivalence property (all four categories, several shard counts —
    chosen events, metric definitions and provenance ledger must be
    bit-identical), the shard-artifact JSON round trip, negative merge
-   paths, ledger splitting, and shard counter totals. *)
+   paths, shard counter totals, the executor, and concurrent runs with
+   their own run contexts. *)
 
 module Stage = Core.Stage
 module L = Provenance.Ledger
 
 let with_clean_state f =
-  Provenance.set_recording false;
   Obs.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Provenance.set_recording false;
-      Obs.clear ())
-    f
+  Fun.protect ~finally:Obs.clear f
+
+let recording = { Core.Run.default with record_ledger = true }
 
 let categories =
   [
@@ -95,11 +93,10 @@ let test_shard_ranges () =
 
 let test_sharded_equivalent category () =
   with_clean_state @@ fun () ->
-  Provenance.set_recording true;
-  let mono = Core.Pipeline.run category in
+  let mono = Core.Pipeline.run ~run:recording category in
   List.iter
     (fun shards ->
-      let sharded = Core.Pipeline.run ~shards category in
+      let sharded = Core.Pipeline.run ~run:recording ~shards category in
       check_equivalent
         ~msg:(Printf.sprintf "%s N=%d" (Core.Category.name category) shards)
         mono sharded)
@@ -121,8 +118,7 @@ let shards_for ?config ~shards category =
 let test_serialized_round_trip () =
   with_clean_state @@ fun () ->
   let category = Core.Category.Branch in
-  Provenance.set_recording true;
-  let mono = Core.Pipeline.run category in
+  let mono = Core.Pipeline.run ~run:recording category in
   let shards = shards_for ~shards:3 category in
   let revived =
     List.map
@@ -140,7 +136,7 @@ let test_serialized_round_trip () =
             s'))
       shards
   in
-  let sharded = Stage.run_merged ~category revived in
+  let sharded = Stage.run_merged ~run:recording ~category revived in
   check_equivalent ~msg:"branch via serialized shards" mono sharded
 
 let test_artifact_rejections () =
@@ -229,32 +225,8 @@ let test_merge_conflicts () =
   expect_merge_error "short shard" "entries" [ a; b_short; c ]
 
 (* ------------------------------------------------------------------ *)
-(* Ledger splitting and counters                                        *)
+(* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let test_split_ledger () =
-  with_clean_state @@ fun () ->
-  Provenance.set_recording true;
-  let r = Core.Pipeline.run Core.Category.Branch in
-  let l = Core.Pipeline.ledger r in
-  let total = List.length l.L.entries in
-  let ranges = Stage.shard_ranges ~shards:4 ~total in
-  let pieces = Stage.split_ledger l ranges in
-  Alcotest.(check int)
-    "entries preserved" total
-    (List.fold_left (fun n p -> n + List.length p.L.entries) 0 pieces);
-  let refolded =
-    match pieces with
-    | [] -> Alcotest.fail "no pieces"
-    | p :: rest ->
-      List.fold_left
-        (fun acc q ->
-          match L.merge acc q with
-          | Ok m -> m
-          | Error e -> Alcotest.fail ("refold failed: " ^ e))
-        p rest
-  in
-  Alcotest.(check bool) "split+merge is identity" true (L.equal l refolded)
 
 let test_shard_counters_sum () =
   with_clean_state @@ fun () ->
@@ -295,8 +267,7 @@ let test_shard_counters_sum () =
 
 let test_merged_ledger_fates () =
   with_clean_state @@ fun () ->
-  Provenance.set_recording true;
-  let r = Core.Pipeline.run ~shards:5 Core.Category.Dcache in
+  let r = Core.Pipeline.run ~run:recording ~shards:5 Core.Category.Dcache in
   let l = Core.Pipeline.ledger r in
   (match L.validate l with
   | Ok () -> ()
@@ -365,6 +336,37 @@ let test_executor_capture_counters () =
   Alcotest.(check (float 0.0)) "span counter" 12.0 (Obs.counter "cap.spans")
 
 (* ------------------------------------------------------------------ *)
+(* Concurrent runs                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Two categories on two domains at once, each recording its ledger
+   through its own run context, with no Obs sink: a run's ledger is a
+   function of its own result, so nothing can interleave, and both
+   results must be bit-identical to the sequential runs. *)
+let test_concurrent_runs () =
+  with_clean_state @@ fun () ->
+  let pair = [| Core.Category.Branch; Core.Category.Cpu_flops |] in
+  let sequential =
+    Array.map (fun c -> Core.Pipeline.run ~run:recording c) pair
+  in
+  let concurrent =
+    E.map ~executor:(E.Domains 2) (Array.length pair) (fun i ->
+        Core.Pipeline.run ~run:recording pair.(i))
+  in
+  Array.iteri
+    (fun i (seq : Core.Pipeline.result) ->
+      let msg = Core.Category.name pair.(i) ^ " concurrent" in
+      check_equivalent ~msg seq concurrent.(i);
+      Alcotest.(check bool)
+        (msg ^ ": variabilities bit-identical") true
+        (List.equal
+           (fun (a : Core.Noise_filter.classified)
+                (b : Core.Noise_filter.classified) ->
+             Float.equal a.variability b.variability)
+           seq.classified concurrent.(i).classified))
+    sequential
+
+(* ------------------------------------------------------------------ *)
 (* The jobs sweep: executor equivalence                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -375,13 +377,12 @@ let sweep_config category =
 
 let run_with_manifest ~jobs ~shards ~config category =
   let captured = ref None in
-  Stage.set_manifest (Some (fun m -> captured := Some m));
+  let run =
+    { recording with manifest = Some (fun m -> captured := Some m) }
+  in
   let r =
-    Fun.protect
-      ~finally:(fun () -> Stage.set_manifest None)
-      (fun () ->
-        E.with_default (E.of_jobs jobs) (fun () ->
-            Stage.run_sharded ~config ~shards category))
+    E.with_default (E.of_jobs jobs) (fun () ->
+        Stage.run_sharded ~run ~config ~shards category)
   in
   match !captured with
   | Some m -> (r, m)
@@ -402,7 +403,6 @@ let check_manifest_cross_jobs ~msg ref_m m =
 
 let test_jobs_sweep category () =
   with_clean_state @@ fun () ->
-  Provenance.set_recording true;
   let config = sweep_config category in
   List.iter
     (fun shards ->
@@ -446,7 +446,6 @@ let () =
         [ test_case "conflicts detected" `Quick test_merge_conflicts ] );
       ( "ledger",
         [
-          test_case "split + merge is identity" `Quick test_split_ledger;
           test_case "merged ledger has coherent fates" `Quick
             test_merged_ledger_fates;
         ] );
@@ -458,6 +457,11 @@ let () =
             test_executor_unit;
           test_case "worker capture replays counters" `Quick
             test_executor_capture_counters;
+        ] );
+      ( "concurrent",
+        [
+          test_case "two categories on two domains" `Quick
+            test_concurrent_runs;
         ] );
       ( "jobs-sweep",
         List.map
