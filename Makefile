@@ -45,15 +45,23 @@ lint-smoke:
 	dune exec bin/analyze.exe -- lint --quiet --json /tmp/lint_report.json
 
 # Malformed input fails loudly: a CSV in the wrong format (dataset_dump
-# without --full writes per-event means, not repetitions) must exit 1
-# with a one-line message, not an uncaught exception; --preflight,
-# which lints the simulated catalog, is rejected with --csv (exit 2).
+# without --full writes per-event means, not repetitions) or a --csv
+# naming a directory must exit 1 with a one-line message, not an
+# uncaught exception; --preflight, which lints the simulated catalog,
+# is rejected with --csv (exit 2); an overridden parameter that breaks
+# a param/* lint rule (--reps 0, --alpha nan) exits 1 with the
+# diagnostic instead of crashing or running to a meaningless result.
 csv-smoke:
 	dune exec bin/dataset_dump.exe -- cpu-flops > /tmp/csv_smoke_means.csv
 	dune exec bin/analyze.exe -- -c cpu-flops \
 	  --csv /tmp/csv_smoke_means.csv; test $$? -eq 1
+	dune exec bin/analyze.exe -- -c cpu-flops --csv /tmp; test $$? -eq 1
 	dune exec bin/analyze.exe -- -c cpu-flops --preflight \
 	  --csv /tmp/csv_smoke_means.csv; test $$? -eq 2
+	dune exec bin/analyze.exe -- -c branch --reps 0; test $$? -eq 1
+	dune exec bin/analyze.exe -- shard branch --reps 0 \
+	  -o /tmp/csv_smoke_shard.json; test $$? -eq 1
+	dune exec bin/analyze.exe -- -c cpu-flops --alpha nan; test $$? -eq 1
 
 # Sharded execution must be byte-identical to the monolithic run —
 # both in-process (--shards) and through serialized shard artifacts

@@ -142,16 +142,15 @@ let jobs_flag =
              config (and its digest)." in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* A bad jobs value is the typed param/unknown-jobs diagnostic, not an
-   argv failure.  Warnings (jobs > shards) print but do not abort. *)
-let set_jobs ?shards jobs =
-  let ds = Check.Param_check.check_jobs ?shards jobs in
+(* Bad parameter values are typed param/* diagnostics, not argv
+   failures or crashes deep in a stage: errors abort with exit 1,
+   warnings print and the run continues. *)
+let enforce_params ds =
   List.iter (fun d -> prerr_endline (Core.Diagnostic.render d)) ds;
-  if
-    List.exists
-      (fun d -> d.Core.Diagnostic.severity = Core.Diagnostic.Error)
-      ds
-  then exit 1;
+  if List.exists Core.Diagnostic.is_error ds then exit 1
+
+let set_jobs ?shards jobs =
+  enforce_params (Check.Param_check.check_jobs ?shards jobs);
   Core.Exec.set_default (Core.Exec.of_jobs jobs)
 
 let preflight_flag =
@@ -163,22 +162,6 @@ let preflight_flag =
              accepted with --csv: the gate lints the simulated catalog, \
              not the CSV's." in
   Arg.(value & flag & info [ "preflight" ] ~doc)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file ~what path text =
-  if path = "-" then print_string text
-  else begin
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc text);
-    Printf.eprintf "%s written to %s\n" what path
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Run manifests                                                       *)
@@ -214,6 +197,14 @@ let config_of ~tau ~alpha ~proj_tol ~reps category =
       Option.value proj_tol ~default:default.Core.Pipeline.projection_tol;
     reps;
   }
+
+(* The effective config gets the same param/* rules the lint applies
+   to the shipped defaults, so an overridden --reps or --alpha cannot
+   crash a stage or run silently to a meaningless result. *)
+let check_config category config =
+  enforce_params
+    (Check.Param_check.analyze ~category:(Core.Category.name category)
+       ~config ~rows:(Check.rows_declared category) ())
 
 let print_sections ~sections category (r : Core.Pipeline.result) =
   let wants s = List.mem s sections || List.mem "all" sections in
@@ -258,8 +249,8 @@ let run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
         try
           Cat_bench.Dataset.of_reps_csv
             ~name:(Core.Category.name category)
-            (read_file path)
-        with Failure msg ->
+            (Obs_cli.read_file path)
+        with Failure msg | Sys_error msg ->
           Printf.eprintf "analyze: %s: %s\n" path msg;
           exit 1
       in
@@ -278,6 +269,9 @@ let run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
 let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
     store shards preflight jobs =
   set_jobs ~shards jobs;
+  List.iter
+    (fun c -> check_config c (config_of ~tau ~alpha ~proj_tol ~reps c))
+    (match category with Some c -> [ c ] | None -> Core.Category.all);
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if shards < 1 then begin
     prerr_endline "analyze: --shards must be at least 1";
@@ -374,7 +368,7 @@ let ledger_for ?(shards = 1) category =
   (r, Core.Pipeline.ledger r)
 
 let write_json path ledger =
-  write_file ~what:"ledger" path
+  Obs_cli.write_file ~what:"ledger" path
     (Jsonio.to_string (Provenance.Ledger.to_json ledger) ^ "\n")
 
 let smoke_category ?(shards = 1) category =
@@ -552,6 +546,7 @@ let shard_main category index shards out tau alpha proj_tol reps obs =
     exit 2
   end;
   let config = config_of ~tau ~alpha ~proj_tol ~reps category in
+  check_config category config;
   let total = Core.Category.catalog_size category in
   let range = List.nth (Core.Stage.shard_ranges ~shards ~total) index in
   let artifact =
@@ -572,7 +567,7 @@ let shard_main category index shards out tau alpha proj_tol reps obs =
     (Hwsim.Session.group_count sub)
     (Hwsim.Session.group_count plan)
     (Hwsim.Session.runs_needed sub ~reps:config.Core.Pipeline.reps);
-  write_file ~what:"shard artifact" out
+  Obs_cli.write_file ~what:"shard artifact" out
     (Jsonio.to_string (Core.Stage.shard_to_json artifact) ^ "\n")
 
 let shard_cmd =
@@ -628,7 +623,7 @@ let merge_main files sections json manifest store obs =
   let shards =
     List.map
       (fun path ->
-        let text = try read_file path with Sys_error msg ->
+        let text = try Obs_cli.read_file path with Sys_error msg ->
           Printf.eprintf "analyze merge: %s\n" msg;
           exit 1
         in
@@ -745,7 +740,7 @@ let lint_main category severity json rules_flag quiet obs =
           | Error e -> bad ("does not decode: " ^ e)
           | Ok ds ->
             if ds <> shown then bad "round trip changed the diagnostics"));
-        write_file ~what:"lint report" path (printed ^ "\n"))
+        Obs_cli.write_file ~what:"lint report" path (printed ^ "\n"))
       json;
     if not quiet then
       Printf.printf "lint: %s\n" (Core.Diagnostic.summary_line diagnostics);

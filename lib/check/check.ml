@@ -207,46 +207,15 @@ let report_to_json ds =
       ("diagnostics", Jsonio.List (List.map D.to_json ds));
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
 let report_of_json json =
+  let open Jsonio.Decode in
   let ctx = "lint-report" in
-  let* version =
-    match Jsonio.member "schema_version" json with
-    | Some (Jsonio.Num v) when Float.is_integer v -> Ok (int_of_float v)
-    | Some _ -> Error (ctx ^ ": field \"schema_version\" is not an integer")
-    | None -> Error (ctx ^ ": missing field \"schema_version\"")
+  let* () =
+    header ~doc:"lint-report" ~kind:"lint-report"
+      ~version:report_schema_version ctx json
   in
-  if version <> report_schema_version then
-    Error
-      (Printf.sprintf
-         "unsupported lint-report schema version %d (this build reads \
-          version %d)"
-         version report_schema_version)
-  else
-    let* kind =
-      match Jsonio.member "kind" json with
-      | Some (Jsonio.Str s) -> Ok s
-      | Some _ -> Error (ctx ^ ": field \"kind\" is not a string")
-      | None -> Error (ctx ^ ": missing field \"kind\"")
-    in
-    if kind <> "lint-report" then
-      Error (Printf.sprintf "%s: unexpected kind %S" ctx kind)
-    else
-      let* entries =
-        match Jsonio.member "diagnostics" json with
-        | Some (Jsonio.List l) -> Ok l
-        | Some _ -> Error (ctx ^ ": field \"diagnostics\" is not a list")
-        | None -> Error (ctx ^ ": missing field \"diagnostics\"")
-      in
-      map_result D.of_json entries
+  let* entries = list ctx "diagnostics" json in
+  map_result D.of_json entries
 
 (* ------------------------------------------------------------------ *)
 (* The optional pre-flight gate                                        *)

@@ -77,18 +77,11 @@ let to_json d =
       ("data", Jsonio.Obj d.data);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_str ctx name json =
-  match Jsonio.member name json with
-  | Some (Jsonio.Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
 let of_json json =
+  let open Jsonio.Decode in
   let ctx = "diagnostic" in
-  let* rule = d_str ctx "rule" json in
-  let* sev_s = d_str ctx "severity" json in
+  let* rule = str ctx "rule" json in
+  let* sev_s = str ctx "severity" json in
   let* severity =
     match severity_of_name sev_s with
     | Some s -> Ok s
@@ -100,12 +93,7 @@ let of_json json =
     | Some (Jsonio.Str c) -> Ok (Some c)
     | Some _ -> Error (ctx ^ ": field \"category\" is not a string or null")
   in
-  let* subject = d_str ctx "subject" json in
-  let* message = d_str ctx "message" json in
-  let* data =
-    match Jsonio.member "data" json with
-    | Some (Jsonio.Obj fields) -> Ok fields
-    | Some _ -> Error (ctx ^ ": field \"data\" is not an object")
-    | None -> Error (ctx ^ ": missing field \"data\"")
-  in
+  let* subject = str ctx "subject" json in
+  let* message = str ctx "message" json in
+  let* data = obj ctx "data" json in
   Ok { rule; severity; category; subject; message; data }

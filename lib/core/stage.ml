@@ -224,7 +224,7 @@ let merge_shards shards =
       in
       go entries
     in
-    let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+    let open Jsonio.Decode in
     let* () = check_headers sorted in
     let* () = check_coverage 0 sorted in
     let entries = List.concat_map (fun s -> s.entries) sorted in
@@ -549,66 +549,25 @@ let shard_to_json (s : classified_shard) =
       ("events", Jsonio.List (List.map entry_json s.entries));
     ]
 
-(* Strict decode, same discipline as Ledger.of_json: a missing or
-   mistyped field is an error naming the field, so artifacts from
-   drifted builds fail loudly rather than merge quietly. *)
+(* Strict decode through Jsonio.Decode: a missing or mistyped field is
+   an error naming the field, so artifacts from drifted builds fail
+   loudly rather than merge quietly. *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_field ctx name json =
-  match Jsonio.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
-let d_float ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.fnum_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: field %S is not a number" ctx name)
-
-let d_int ctx name json =
-  let* f = d_float ctx name json in
-  if Float.is_integer f then Ok (int_of_float f)
-  else Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
-
-let d_str ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-
-let d_list ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_list_opt v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "%s: field %S is not a list" ctx name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+open Jsonio.Decode
 
 let entry_of_json ~rows json =
-  let* event = d_str "shard entry" "event" json in
+  let* event = str "shard entry" "event" json in
   let ctx = "event " ^ event in
-  let* description = d_str ctx "description" json in
-  let* status_s = d_str ctx "status" json in
+  let* description = str ctx "description" json in
+  let* status_s = str ctx "status" json in
   let* status =
     match status_of_name status_s with
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "%s: unknown status %S" ctx status_s)
   in
-  let* variability = d_float ctx "variability" json in
-  let* mean_l = d_list ctx "mean" json in
+  let* variability = fnum ctx "variability" json in
   let* mean =
-    map_result
-      (fun v ->
-        match Jsonio.fnum_opt v with
-        | Some f -> Ok f
-        | None -> Error (ctx ^ ": mean entry is not a number"))
-      mean_l
+    list_of Jsonio.fnum_opt ~bad:"mean entry is not a number" ctx "mean" json
   in
   if List.length mean <> rows then
     Error
@@ -628,59 +587,47 @@ let entry_of_json ~rows json =
 
 let shard_of_json json =
   let ctx = "classified-shard" in
-  let* version = d_int ctx "schema_version" json in
-  if version <> shard_schema_version then
+  let* () =
+    header ~doc:"shard" ~kind:"classified-shard"
+      ~version:shard_schema_version ctx json
+  in
+  let* category = str ctx "category" json in
+  let* machine = str ctx "machine" json in
+  let* config_j = field ctx "config" json in
+  let* tau = fnum ctx "tau" config_j in
+  let* alpha = fnum ctx "alpha" config_j in
+  let* projection_tol = fnum ctx "projection_tol" config_j in
+  let* reps = int ctx "reps" config_j in
+  let* range_j = field ctx "range" json in
+  let* lo = int ctx "lo" range_j in
+  let* hi = int ctx "hi" range_j in
+  let* total = int ctx "catalog_events" json in
+  let* labels =
+    list_of Jsonio.to_string_opt ~bad:"row label is not a string" ctx
+      "row_labels" json
+  in
+  let* measure = str ctx "measure" json in
+  let* events = list ctx "events" json in
+  let rows = List.length labels in
+  let* entries = map_result (entry_of_json ~rows) events in
+  if lo < 0 || hi < lo || hi > total then
+    Error (Printf.sprintf "%s: bad range [%d,%d) of %d" ctx lo hi total)
+  else if List.length entries <> hi - lo then
     Error
-      (Printf.sprintf
-         "unsupported shard schema version %d (this build reads version %d)"
-         version shard_schema_version)
+      (Printf.sprintf "%s: %d entries for a %d-event range" ctx
+         (List.length entries) (hi - lo))
   else
-    let* kind = d_str ctx "kind" json in
-    if kind <> "classified-shard" then
-      Error (Printf.sprintf "%s: unexpected kind %S" ctx kind)
-    else
-      let* category = d_str ctx "category" json in
-      let* machine = d_str ctx "machine" json in
-      let* config_j = d_field ctx "config" json in
-      let* tau = d_float ctx "tau" config_j in
-      let* alpha = d_float ctx "alpha" config_j in
-      let* projection_tol = d_float ctx "projection_tol" config_j in
-      let* reps = d_int ctx "reps" config_j in
-      let* range_j = d_field ctx "range" json in
-      let* lo = d_int ctx "lo" range_j in
-      let* hi = d_int ctx "hi" range_j in
-      let* total = d_int ctx "catalog_events" json in
-      let* labels_l = d_list ctx "row_labels" json in
-      let* labels =
-        map_result
-          (fun v ->
-            match Jsonio.to_string_opt v with
-            | Some s -> Ok s
-            | None -> Error (ctx ^ ": row label is not a string"))
-          labels_l
-      in
-      let* measure = d_str ctx "measure" json in
-      let* events = d_list ctx "events" json in
-      let rows = List.length labels in
-      let* entries = map_result (entry_of_json ~rows) events in
-      if lo < 0 || hi < lo || hi > total then
-        Error (Printf.sprintf "%s: bad range [%d,%d) of %d" ctx lo hi total)
-      else if List.length entries <> hi - lo then
-        Error
-          (Printf.sprintf "%s: %d entries for a %d-event range" ctx
-             (List.length entries) (hi - lo))
-      else
-        Ok
-          {
-            category;
-            machine;
-            shard_config = { tau; alpha; projection_tol; reps };
-            range = { lo; hi };
-            total;
-            row_labels = Array.of_list labels;
-            measure;
-            entries;
-          }
+    Ok
+      {
+        category;
+        machine;
+        shard_config = { tau; alpha; projection_tol; reps };
+        range = { lo; hi };
+        total;
+        row_labels = Array.of_list labels;
+        measure;
+        entries;
+      }
 
 let shard_equal a b =
   let feq = Float.equal in

@@ -287,3 +287,93 @@ let fnum_opt = function
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Strict decoding                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Decode = struct
+  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+  let rec map_result f = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
+
+  (* 2^53: beyond it not every integer is a double, and int_of_float
+     wraps silently once the value leaves the native int range. *)
+  let max_exact_int = 9007199254740992.0
+
+  let to_int_opt = function
+    | Num f when Float.is_integer f && Float.abs f <= max_exact_int ->
+      Some (int_of_float f)
+    | _ -> None
+
+  let field ctx name json =
+    match member name json with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
+
+  let typed what conv ctx name json =
+    let* v = field ctx name json in
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "%s: field %S is not %s" ctx name what)
+
+  let fnum ctx name json = typed "a number" fnum_opt ctx name json
+  let num ctx name json = typed "a number" to_float_opt ctx name json
+  let int ctx name json = typed "an integer" to_int_opt ctx name json
+  let str ctx name json = typed "a string" to_string_opt ctx name json
+  let bool ctx name json = typed "a boolean" to_bool_opt ctx name json
+  let list ctx name json = typed "a list" to_list_opt ctx name json
+
+  let list_of conv ~bad ctx name json =
+    let* l = list ctx name json in
+    map_result
+      (fun v ->
+        match conv v with Some x -> Ok x | None -> Error (ctx ^ ": " ^ bad))
+      l
+
+  let obj ctx name json =
+    typed "an object" (function Obj fields -> Some fields | _ -> None) ctx
+      name json
+
+  let table what conv ctx name json =
+    let* fields = obj ctx name json in
+    map_result
+      (fun (k, v) ->
+        match conv v with
+        | Some x -> Ok (k, x)
+        | None -> Error (Printf.sprintf "%s: %s.%s is not %s" ctx name k what))
+      fields
+
+  let float_table ctx name json = table "a number" fnum_opt ctx name json
+  let string_table ctx name json = table "a string" to_string_opt ctx name json
+
+  let nullable read ctx name json =
+    match member name json with
+    | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
+    | Some Null -> Ok None
+    | Some _ ->
+      let* v = read ctx name json in
+      Ok (Some v)
+
+  let header ?doc ?kind ~version ctx json =
+    let* v = int ctx "schema_version" json in
+    if v <> version then
+      Error
+        (Printf.sprintf
+           "unsupported %sschema version %d (this build reads version %d)"
+           (match doc with Some d -> d ^ " " | None -> "")
+           v version)
+    else
+      match kind with
+      | None -> Ok ()
+      | Some expected ->
+        let* k = str ctx "kind" json in
+        if k <> expected then
+          Error (Printf.sprintf "%s: unexpected kind %S" ctx k)
+        else Ok ()
+end

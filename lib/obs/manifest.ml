@@ -187,97 +187,34 @@ let to_json m =
    config section that no longer matches its digest all fail loudly
    (the digest check is the tamper detector). *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_field ctx name json =
-  match Jsonio.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
-let d_float ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.fnum_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: field %S is not a number" ctx name)
-
-let d_int ctx name json =
-  let* f = d_float ctx name json in
-  if Float.is_integer f then Ok (int_of_float f)
-  else Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
-
-let d_str ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let d_float_table ctx name json =
-  let* v = d_field ctx name json in
-  match v with
-  | Jsonio.Obj fields ->
-    map_result
-      (fun (k, fv) ->
-        match Jsonio.fnum_opt fv with
-        | Some f -> Ok (k, f)
-        | None ->
-          Error (Printf.sprintf "%s: %s.%s is not a number" ctx name k))
-      fields
-  | _ -> Error (Printf.sprintf "%s: field %S is not an object" ctx name)
-
-let d_string_table ctx name json =
-  let* v = d_field ctx name json in
-  match v with
-  | Jsonio.Obj fields ->
-    map_result
-      (fun (k, fv) ->
-        match Jsonio.to_string_opt fv with
-        | Some s -> Ok (k, s)
-        | None ->
-          Error (Printf.sprintf "%s: %s.%s is not a string" ctx name k))
-      fields
-  | _ -> Error (Printf.sprintf "%s: field %S is not an object" ctx name)
+open Jsonio.Decode
 
 let span_of_json json =
-  let* span = d_str "manifest span" "span" json in
+  let* span = str "manifest span" "span" json in
   let ctx = "span " ^ span in
-  let* count = d_int ctx "count" json in
-  let* total_ns = d_float ctx "total_ns" json in
-  let* min_ns = d_float ctx "min_ns" json in
-  let* max_ns = d_float ctx "max_ns" json in
-  let* p50_ns = d_float ctx "p50_ns" json in
-  let* p90_ns = d_float ctx "p90_ns" json in
-  let* p99_ns = d_float ctx "p99_ns" json in
-  let* buckets_j = d_field ctx "buckets" json in
+  let* count = int ctx "count" json in
+  let* total_ns = fnum ctx "total_ns" json in
+  let* min_ns = fnum ctx "min_ns" json in
+  let* max_ns = fnum ctx "max_ns" json in
+  let* p50_ns = fnum ctx "p50_ns" json in
+  let* p90_ns = fnum ctx "p90_ns" json in
+  let* p99_ns = fnum ctx "p99_ns" json in
   let* buckets =
-    match buckets_j with
-    | Jsonio.List l ->
-      let* counts =
-        map_result
-          (fun v ->
-            match Jsonio.fnum_opt v with
-            | Some f when Float.is_integer f -> Ok (int_of_float f)
-            | _ -> Error (ctx ^ ": bucket count is not an integer"))
-          l
-      in
-      let arr = Array.of_list counts in
-      if Array.length arr <> Histogram.bucket_count then
-        Error
-          (Printf.sprintf "%s: %d buckets (scheme %s has %d)" ctx
-             (Array.length arr) Histogram.scheme_id Histogram.bucket_count)
-      else Ok arr
-    | _ -> Error (ctx ^ ": field \"buckets\" is not a list")
+    let* counts =
+      list_of to_int_opt ~bad:"bucket count is not an integer" ctx "buckets"
+        json
+    in
+    let arr = Array.of_list counts in
+    if Array.length arr <> Histogram.bucket_count then
+      Error
+        (Printf.sprintf "%s: %d buckets (scheme %s has %d)" ctx
+           (Array.length arr) Histogram.scheme_id Histogram.bucket_count)
+    else Ok arr
   in
-  let* gc_minor_words = d_float ctx "gc_minor_words" json in
-  let* gc_major_words = d_float ctx "gc_major_words" json in
-  let* gc_promoted_words = d_float ctx "gc_promoted_words" json in
-  let* gc_compactions = d_int ctx "gc_compactions" json in
+  let* gc_minor_words = fnum ctx "gc_minor_words" json in
+  let* gc_major_words = fnum ctx "gc_major_words" json in
+  let* gc_promoted_words = fnum ctx "gc_promoted_words" json in
+  let* gc_compactions = int ctx "gc_compactions" json in
   Ok
     {
       span;
@@ -297,76 +234,64 @@ let span_of_json json =
 
 let of_json json =
   let ctx = kind_name in
-  let* version = d_int ctx "schema_version" json in
-  if version <> schema_version then
+  let* () =
+    header ~doc:"manifest" ~kind:kind_name ~version:schema_version ctx json
+  in
+  let* scheme = str ctx "histogram_scheme" json in
+  if scheme <> Histogram.scheme_id then
     Error
       (Printf.sprintf
-         "unsupported manifest schema version %d (this build reads version %d)"
-         version schema_version)
+         "%s: histogram scheme %S (this build records %S)" ctx scheme
+         Histogram.scheme_id)
   else
-    let* kind = d_str ctx "kind" json in
-    if kind <> kind_name then
-      Error (Printf.sprintf "%s: unexpected kind %S" ctx kind)
+    let* source = str ctx "source" json in
+    let* label = str ctx "label" json in
+    let* created_unix = fnum ctx "created_unix" json in
+    let* config = string_table ctx "config" json in
+    let* config_digest = str ctx "config_digest" json in
+    if config_digest <> digest_config config then
+      Error
+        (Printf.sprintf
+           "%s: config digest mismatch (recorded %s, recomputed %s) — \
+            the config section was modified after the manifest was \
+            written"
+           ctx config_digest (digest_config config))
     else
-      let* scheme = d_str ctx "histogram_scheme" json in
-      if scheme <> Histogram.scheme_id then
-        Error
-          (Printf.sprintf
-             "%s: histogram scheme %S (this build records %S)" ctx scheme
-             Histogram.scheme_id)
-      else
-        let* source = d_str ctx "source" json in
-        let* label = d_str ctx "label" json in
-        let* created_unix = d_float ctx "created_unix" json in
-        let* config = d_string_table ctx "config" json in
-        let* config_digest = d_str ctx "config_digest" json in
-        if config_digest <> digest_config config then
-          Error
-            (Printf.sprintf
-               "%s: config digest mismatch (recorded %s, recomputed %s) — \
-                the config section was modified after the manifest was \
-                written"
-               ctx config_digest (digest_config config))
-        else
-          let* spans_j = d_field ctx "spans" json in
-          let* spans =
-            match spans_j with
-            | Jsonio.List l -> map_result span_of_json l
-            | _ -> Error (ctx ^ ": field \"spans\" is not a list")
-          in
-          let* counters = d_float_table ctx "counters" json in
-          let* gauges = d_float_table ctx "gauges" json in
-          let* totals = d_float_table ctx "totals" json in
-          let* metrics = d_float_table ctx "metrics" json in
-          let* gc = d_float_table ctx "gc" json in
-          let* lint =
-            match Jsonio.member "lint" json with
-            | None -> Error (ctx ^ ": missing field \"lint\"")
-            | Some Jsonio.Null -> Ok None
-            | Some l ->
-              let* errors = d_int "lint" "errors" l in
-              let* warns = d_int "lint" "warns" l in
-              let* infos = d_int "lint" "infos" l in
-              Ok (Some { errors; warns; infos })
-          in
-          let* artifacts = d_string_table ctx "artifacts" json in
-          Ok
-            {
-              version;
-              source;
-              label;
-              created_unix;
-              config;
-              config_digest;
-              spans;
-              counters;
-              gauges;
-              totals;
-              metrics;
-              gc;
-              lint;
-              artifacts;
-            }
+      let* spans_j = list ctx "spans" json in
+      let* spans = map_result span_of_json spans_j in
+      let* counters = float_table ctx "counters" json in
+      let* gauges = float_table ctx "gauges" json in
+      let* totals = float_table ctx "totals" json in
+      let* metrics = float_table ctx "metrics" json in
+      let* gc = float_table ctx "gc" json in
+      let* lint =
+        nullable
+          (fun ctx name json ->
+            let* l = field ctx name json in
+            let* errors = int "lint" "errors" l in
+            let* warns = int "lint" "warns" l in
+            let* infos = int "lint" "infos" l in
+            Ok { errors; warns; infos })
+          ctx "lint" json
+      in
+      let* artifacts = string_table ctx "artifacts" json in
+      Ok
+        {
+          version = schema_version;
+          source;
+          label;
+          created_unix;
+          config;
+          config_digest;
+          spans;
+          counters;
+          gauges;
+          totals;
+          metrics;
+          gc;
+          lint;
+          artifacts;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

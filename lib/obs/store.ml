@@ -93,56 +93,19 @@ let index_to_json t =
       ("entries", Jsonio.List (List.map entry_to_json t.all));
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let d_field ctx name json =
-  match Jsonio.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
-let d_num ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_float_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: field %S is not a number" ctx name)
-
-let d_int ctx name json =
-  let* f = d_num ctx name json in
-  if Float.is_integer f then Ok (int_of_float f)
-  else Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
-
-let d_str ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+open Jsonio.Decode
 
 let entry_of_json json =
   let ctx = "store entry" in
-  let* seq = d_int ctx "seq" json in
+  let* seq = int ctx "seq" json in
   let ctx = Printf.sprintf "store entry %d" seq in
-  let* config_digest = d_str ctx "config_digest" json in
-  let* source = d_str ctx "source" json in
-  let* label = d_str ctx "label" json in
-  let* backend =
-    match Jsonio.member "backend" json with
-    | None -> Error (ctx ^ ": missing field \"backend\"")
-    | Some Jsonio.Null -> Ok None
-    | Some v -> (
-      match Jsonio.to_string_opt v with
-      | Some s -> Ok (Some s)
-      | None -> Error (ctx ^ ": field \"backend\" is not a string"))
-  in
-  let* created_unix = d_num ctx "created_unix" json in
-  let* manifest_hash = d_str ctx "manifest_hash" json in
-  let* file = d_str ctx "file" json in
+  let* config_digest = str ctx "config_digest" json in
+  let* source = str ctx "source" json in
+  let* label = str ctx "label" json in
+  let* backend = nullable str ctx "backend" json in
+  let* created_unix = num ctx "created_unix" json in
+  let* manifest_hash = str ctx "manifest_hash" json in
+  let* file = str ctx "file" json in
   if Filename.basename file <> file then
     Error (Printf.sprintf "%s: file %S is not a plain name" ctx file)
   else
@@ -151,35 +114,22 @@ let entry_of_json json =
 
 let index_of_json root json =
   let ctx = kind_name in
-  let* version = d_int ctx "schema_version" json in
-  if version <> schema_version then
+  let* () =
+    header ~doc:"store index" ~kind:kind_name ~version:schema_version ctx json
+  in
+  let* next_seq = int ctx "next_seq" json in
+  let* digest = str ctx "entries_digest" json in
+  let* entries_j = list ctx "entries" json in
+  let* all = map_result entry_of_json entries_j in
+  if digest <> entries_digest all then
     Error
       (Printf.sprintf
-         "unsupported store index schema version %d (this build reads \
-          version %d)"
-         version schema_version)
-  else
-    let* kind = d_str ctx "kind" json in
-    if kind <> kind_name then
-      Error (Printf.sprintf "%s: unexpected kind %S" ctx kind)
-    else
-      let* next_seq = d_int ctx "next_seq" json in
-      let* digest = d_str ctx "entries_digest" json in
-      let* entries_j = d_field ctx "entries" json in
-      let* all =
-        match entries_j with
-        | Jsonio.List l -> map_result entry_of_json l
-        | _ -> Error (ctx ^ ": field \"entries\" is not a list")
-      in
-      if digest <> entries_digest all then
-        Error
-          (Printf.sprintf
-             "%s: entries digest mismatch (recorded %s, recomputed %s) — \
-              the index was modified after it was written"
-             ctx digest (entries_digest all))
-      else if List.exists (fun e -> e.seq >= next_seq) all then
-        Error (ctx ^ ": an entry's seq is not below next_seq")
-      else Ok { root; next_seq; all }
+         "%s: entries digest mismatch (recorded %s, recomputed %s) — \
+          the index was modified after it was written"
+         ctx digest (entries_digest all))
+  else if List.exists (fun e -> e.seq >= next_seq) all then
+    Error (ctx ^ ": an entry's seq is not below next_seq")
+  else Ok { root; next_seq; all }
 
 (* ------------------------------------------------------------------ *)
 (* Open / persist                                                      *)

@@ -349,57 +349,18 @@ let to_json t =
       ("events", Jsonio.List (List.map entry_json t.entries));
     ]
 
-(* Decoding: strict — a missing or mistyped field is an error naming
-   the field, so documents from incompatible builds fail loudly. *)
+(* Decoding: strict, through Jsonio.Decode — a missing or mistyped
+   field is an error naming the field, so documents from incompatible
+   builds fail loudly. *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+open Jsonio.Decode
 
-let d_field ctx name json =
-  match Jsonio.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-
-let d_float ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.fnum_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: field %S is not a number" ctx name)
-
-let d_int ctx name json =
-  let* f = d_float ctx name json in
-  if Float.is_integer f then Ok (int_of_float f)
-  else Error (Printf.sprintf "%s: field %S is not an integer" ctx name)
-
-let d_str ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: field %S is not a string" ctx name)
-
-let d_bool ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_bool_opt v with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "%s: field %S is not a boolean" ctx name)
-
-let d_list ctx name json =
-  let* v = d_field ctx name json in
-  match Jsonio.to_list_opt v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "%s: field %S is not a list" ctx name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let noise_of_json ctx json =
-  let* measure = d_str ctx "measure" json in
-  let* variability = d_float ctx "variability" json in
-  let* tau = d_float ctx "tau" json in
-  let* status_s = d_str ctx "status" json in
+let noise_of_json ctx name json =
+  let* json = field ctx name json in
+  let* measure = str ctx "measure" json in
+  let* variability = fnum ctx "variability" json in
+  let* tau = fnum ctx "tau" json in
+  let* status_s = str ctx "status" json in
   let* status =
     match status_s with
     | "kept" -> Ok Kept
@@ -409,93 +370,62 @@ let noise_of_json ctx json =
   in
   Ok { measure; variability; tau; status }
 
-let projection_of_json ctx json =
-  let* residual = d_float ctx "residual" json in
-  let* tol = d_float ctx "tol" json in
-  let* accepted = d_bool ctx "accepted" json in
-  let* repr = d_list ctx "representation" json in
+let projection_of_json ctx name json =
+  let* json = field ctx name json in
+  let* residual = fnum ctx "residual" json in
+  let* tol = fnum ctx "tol" json in
+  let* accepted = bool ctx "accepted" json in
   let* coords =
-    map_result
-      (fun v ->
-        match Jsonio.fnum_opt v with
-        | Some f -> Ok f
-        | None -> Error (ctx ^ ": representation entry is not a number"))
-      repr
+    list_of Jsonio.fnum_opt ~bad:"representation entry is not a number" ctx
+      "representation" json
   in
   Ok { residual; tol; accepted; representation = Array.of_list coords }
 
-let qrcp_of_json ctx json =
-  let* outcome = d_str ctx "outcome" json in
+let qrcp_of_json ctx name json =
+  let* json = field ctx name json in
+  let* outcome = str ctx "outcome" json in
   match outcome with
   | "picked" ->
-    let* round = d_int ctx "round" json in
-    let* score = d_float ctx "score" json in
-    let* trailing_norm = d_float ctx "trailing_norm" json in
-    let* candidates = d_int ctx "candidates" json in
-    let* runner_up =
-      match Jsonio.member "runner_up" json with
-      | Some Jsonio.Null -> Ok None
-      | Some (Jsonio.Str s) -> Ok (Some s)
-      | _ -> Error (ctx ^ ": bad runner_up")
-    in
-    let* runner_up_score =
-      match Jsonio.member "runner_up_score" json with
-      | Some Jsonio.Null -> Ok None
-      | Some v -> (
-        match Jsonio.fnum_opt v with
-        | Some f -> Ok (Some f)
-        | None -> Error (ctx ^ ": bad runner_up_score"))
-      | None -> Error (ctx ^ ": bad runner_up_score")
-    in
+    let* round = int ctx "round" json in
+    let* score = fnum ctx "score" json in
+    let* trailing_norm = fnum ctx "trailing_norm" json in
+    let* candidates = int ctx "candidates" json in
+    let* runner_up = nullable str ctx "runner_up" json in
+    let* runner_up_score = nullable fnum ctx "runner_up_score" json in
     Ok (Picked { round; score; trailing_norm; candidates; runner_up; runner_up_score })
   | "eliminated" ->
-    let* reason_s = d_str ctx "reason" json in
+    let* reason_s = str ctx "reason" json in
     let* reason =
       match reason_s with
       | "below-beta" -> Ok Below_beta
       | "rank-exhausted" -> Ok Rank_exhausted
       | s -> Error (Printf.sprintf "%s: unknown elimination reason %S" ctx s)
     in
-    let* final_norm = d_float ctx "final_norm" json in
-    let* beta = d_float ctx "beta" json in
+    let* final_norm = fnum ctx "final_norm" json in
+    let* beta = fnum ctx "beta" json in
     Ok (Dropped { reason; final_norm; beta })
   | s -> Error (Printf.sprintf "%s: unknown qrcp outcome %S" ctx s)
 
 let entry_of_json json =
-  let* event = d_str "event" "event" json in
+  let* event = str "event" "event" json in
   let ctx = "event " ^ event in
-  let* description = d_str ctx "description" json in
-  let* noise_j = d_field ctx "noise" json in
-  let* noise = noise_of_json ctx noise_j in
-  let* projection =
-    match Jsonio.member "projection" json with
-    | Some Jsonio.Null -> Ok None
-    | Some p ->
-      let* p = projection_of_json ctx p in
-      Ok (Some p)
-    | None -> Error (ctx ^ ": missing field \"projection\"")
-  in
-  let* qrcp =
-    match Jsonio.member "qrcp" json with
-    | Some Jsonio.Null -> Ok None
-    | Some q ->
-      let* q = qrcp_of_json ctx q in
-      Ok (Some q)
-    | None -> Error (ctx ^ ": missing field \"qrcp\"")
-  in
-  let* metrics = d_list ctx "metrics" json in
+  let* description = str ctx "description" json in
+  let* noise = noise_of_json ctx "noise" json in
+  let* projection = nullable projection_of_json ctx "projection" json in
+  let* qrcp = nullable qrcp_of_json ctx "qrcp" json in
+  let* metrics = list ctx "metrics" json in
   let* memberships =
     map_result
       (fun m ->
-        let* metric = d_str ctx "metric" m in
-        let* coef = d_float ctx "coefficient" m in
+        let* metric = str ctx "metric" m in
+        let* coef = fnum ctx "coefficient" m in
         Ok (metric, coef))
       metrics
   in
   let e = { event; description; noise; projection; qrcp; memberships } in
   (* The stored fate is redundant; a mismatch means the document was
      edited or produced by drifted code, so reject it. *)
-  let* stored_fate = d_str ctx "fate" json in
+  let* stored_fate = str ctx "fate" json in
   let* computed = fate_checked e in
   if stored_fate <> fate_name computed then
     Error
@@ -505,36 +435,25 @@ let entry_of_json json =
 
 let of_json json =
   let ctx = "ledger" in
-  let* version = d_int ctx "schema_version" json in
-  if version <> schema_version then
-    Error
-      (Printf.sprintf
-         "unsupported schema version %d (this build reads version %d)" version
-         schema_version)
-  else
-    let* category = d_str ctx "category" json in
-    let* machine = d_str ctx "machine" json in
-    let* thresholds = d_field ctx "thresholds" json in
-    let* tau = d_float ctx "tau" thresholds in
-    let* alpha = d_float ctx "alpha" thresholds in
-    let* projection_tol = d_float ctx "projection_tol" thresholds in
-    let* basis = d_list ctx "basis" json in
-    let* labels =
-      map_result
-        (fun v ->
-          match Jsonio.to_string_opt v with
-          | Some s -> Ok s
-          | None -> Error (ctx ^ ": basis label is not a string"))
-        basis
-    in
-    let* events = d_list ctx "events" json in
-    let* entries = map_result entry_of_json events in
-    let t =
-      { version; category; machine; tau; alpha; projection_tol;
-        basis_labels = Array.of_list labels; entries }
-    in
-    let* () = validate t in
-    Ok t
+  let* () = header ~version:schema_version ctx json in
+  let* category = str ctx "category" json in
+  let* machine = str ctx "machine" json in
+  let* thresholds = field ctx "thresholds" json in
+  let* tau = fnum ctx "tau" thresholds in
+  let* alpha = fnum ctx "alpha" thresholds in
+  let* projection_tol = fnum ctx "projection_tol" thresholds in
+  let* labels =
+    list_of Jsonio.to_string_opt ~bad:"basis label is not a string" ctx "basis"
+      json
+  in
+  let* events = list ctx "events" json in
+  let* entries = map_result entry_of_json events in
+  let t =
+    { version = schema_version; category; machine; tau; alpha; projection_tol;
+      basis_labels = Array.of_list labels; entries }
+  in
+  let* () = validate t in
+  Ok t
 
 (* ------------------------------------------------------------------ *)
 (* Human-readable decision chain                                       *)

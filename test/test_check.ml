@@ -390,14 +390,22 @@ let test_report_roundtrip () =
         (ds = ds'))
 
 let test_report_rejects_drift () =
-  let doc =
-    Jsonio.Obj
-      [ ("schema_version", Jsonio.Num 999.0);
-        ("kind", Jsonio.Str "lint-report") ]
-  in
-  match Check.report_of_json doc with
-  | Ok _ -> Alcotest.fail "unknown schema version accepted"
-  | Error _ -> ()
+  (* 1e300 is not an integer; it must not wrap to a version of 0. *)
+  List.iter
+    (fun (version, expected) ->
+      let doc =
+        Jsonio.Obj
+          [ ("schema_version", Jsonio.Num version);
+            ("kind", Jsonio.Str "lint-report") ]
+      in
+      match Check.report_of_json doc with
+      | Ok _ -> Alcotest.fail "unknown schema version accepted"
+      | Error e ->
+        Alcotest.(check string) "rejection message" expected e)
+    [ (999.0,
+       "unsupported lint-report schema version 999 (this build reads \
+        version 1)");
+      (1e300, "lint-report: field \"schema_version\" is not an integer") ]
 
 (* --- the optional pre-flight gate ----------------------------- *)
 

@@ -167,7 +167,15 @@ let test_strict_rejections () =
     (match j with
     | Jsonio.Obj fields ->
       Jsonio.Obj (List.filter (fun (k, _) -> k <> "source") fields)
-    | x -> x)
+    | x -> x);
+  (* 1e300 is not an integer; it must not wrap to a span count of 0. *)
+  check_rejected "out-of-range integer" "\"count\" is not an integer"
+    (match Jsonio.member "spans" j with
+    | Some (Jsonio.List (first :: rest)) ->
+      set_field "spans"
+        (Jsonio.List (set_field "count" (Jsonio.Num 1e300) first :: rest))
+        j
+    | _ -> Alcotest.fail "manifest has no spans")
 
 (* ------------------------------------------------------------------ *)
 (* Diff classification                                                 *)

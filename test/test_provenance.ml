@@ -281,11 +281,20 @@ let test_json_version_rejected () =
   let doctored =
     patch_field "schema_version" (Jsonio.Num 99.0) (L.to_json ledger)
   in
-  match L.of_json doctored with
+  (match L.of_json doctored with
   | Ok _ -> Alcotest.fail "future schema version accepted"
   | Error msg ->
     Alcotest.(check bool) "error names the version" true
-      (contains msg "unsupported schema version 99")
+      (contains msg "unsupported schema version 99"));
+  (* An out-of-range version is not an integer, not a wrapped 0. *)
+  match
+    L.of_json
+      (patch_field "schema_version" (Jsonio.Num 1e300) (L.to_json ledger))
+  with
+  | Ok _ -> Alcotest.fail "out-of-range schema version accepted"
+  | Error msg ->
+    Alcotest.(check bool) ("error names the bad integer: " ^ msg) true
+      (contains msg "\"schema_version\" is not an integer")
 
 let test_json_fate_tamper_rejected () =
   with_clean_state @@ fun () ->

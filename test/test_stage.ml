@@ -165,6 +165,13 @@ let test_artifact_rejections () =
     (replace "range"
        (Jsonio.Obj [ ("lo", Jsonio.Num 0.); ("hi", Jsonio.Num 1.) ])
        json);
+  (* 1e300 is not an integer; it must not wrap to the valid bound 0. *)
+  expect_error "out-of-range integer"
+    (replace "range"
+       (Jsonio.Obj
+          [ ("lo", Jsonio.Num 1e300);
+            ("hi", Jsonio.Num (float_of_int shard.Stage.range.hi)) ])
+       json);
   (* A valid document still decodes after the mangling exercises. *)
   match Stage.shard_of_json json with
   | Ok s -> Alcotest.(check bool) "pristine decode" true (Stage.shard_equal shard s)

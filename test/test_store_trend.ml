@@ -179,10 +179,23 @@ let test_store_tamper_rejected () =
   close_in ic;
   let edited = replace_first ~sub:"\"pipeline\"" ~by:"\"pipelinX\"" text in
   Alcotest.(check bool) "index actually edited" true (edited <> text);
-  let oc = open_out_bin index in
-  output_string oc edited;
-  close_out oc;
-  ignore (err "tampered index" (S.open_store dir))
+  let write text =
+    let oc = open_out_bin index in
+    output_string oc text;
+    close_out oc
+  in
+  write edited;
+  ignore (err "tampered index" (S.open_store dir));
+  (* 1e300 is not an integer; it must not wrap to a next_seq of 0. *)
+  let sub = Printf.sprintf "\"next_seq\": %d" (e.S.seq + 1) in
+  let huge = replace_first ~sub ~by:"\"next_seq\": 1e300" text in
+  Alcotest.(check bool) "next_seq actually edited" true (huge <> text);
+  write huge;
+  let msg = err "out-of-range next_seq" (S.open_store dir) in
+  Alcotest.(check bool)
+    ("open names the bad integer: " ^ msg)
+    true
+    (replace_first ~sub:"\"next_seq\" is not an integer" ~by:"" msg <> msg)
 
 let test_store_missing () =
   with_temp_store @@ fun dir ->
