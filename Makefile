@@ -82,17 +82,24 @@ shard-smoke:
 
 # Domain-parallel execution must be byte-identical to the sequential
 # reference: the same sharded run at --jobs 1 and at --jobs 4 must
-# produce byte-identical output for every category (cmp, not diff),
-# and an impossible --jobs value must fail through the typed lint
-# diagnostic.  Finishes with the parallel-front benchmark smoke.
+# produce byte-identical full output (--show all, per-event noise
+# values included) for every category (cmp, not diff), and so must the
+# monolithic dcache run, whose activity generation also runs on the
+# executor; an impossible --jobs value must fail through the typed
+# lint diagnostic.  Finishes with the parallel-front benchmark smoke.
 par-smoke:
 	for c in cpu-flops gpu-flops branch dcache; do \
 	  dune exec bin/analyze.exe -- -c $$c --shards 3 --jobs 1 \
-	    --show summary,chosen,metrics > /tmp/par_smoke_seq.txt && \
+	    --show all > /tmp/par_smoke_seq.txt && \
 	  dune exec bin/analyze.exe -- -c $$c --shards 3 --jobs 4 \
-	    --show summary,chosen,metrics > /tmp/par_smoke_par.txt && \
+	    --show all > /tmp/par_smoke_par.txt && \
 	  cmp /tmp/par_smoke_seq.txt /tmp/par_smoke_par.txt || exit 1; \
 	done
+	dune exec bin/analyze.exe -- -c dcache --shards 1 --jobs 1 \
+	  --show all > /tmp/par_smoke_seq.txt
+	dune exec bin/analyze.exe -- -c dcache --shards 1 --jobs 2 \
+	  --show all > /tmp/par_smoke_par.txt
+	cmp /tmp/par_smoke_seq.txt /tmp/par_smoke_par.txt
 	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null
 	dune exec bench/par_bench.exe -- --smoke --out /tmp/BENCH_par_smoke.json
 	dune exec bench/par_bench.exe -- --check /tmp/BENCH_par_smoke.json

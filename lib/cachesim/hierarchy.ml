@@ -97,6 +97,12 @@ let reset_counters t =
   t.accesses <- 0;
   t.mem_accesses <- 0
 
+let reset t =
+  Cache.invalidate_all t.l1;
+  Cache.invalidate_all t.l2;
+  Cache.invalidate_all t.l3;
+  reset_counters t
+
 let warm t addrs =
   Array.iter (fun a -> ignore (load t a)) addrs;
   reset_counters t

@@ -1,7 +1,7 @@
 type layout = Sequential | Shuffled of Numkit.Rng.t
 
 type chain = {
-  base : int64;
+  base : int;
   stride : int;
   next : int array; (* next.(i) = index of successor slot *)
 }
@@ -33,8 +33,7 @@ let make ~base ~pointers ~stride_bytes layout =
 let buffer_bytes c = Array.length c.next * c.stride
 let pointers c = Array.length c.next
 
-let address c i =
-  Int64.add c.base (Int64.of_int (i * c.stride))
+let address c i = c.base + (i * c.stride)
 
 let walk_once h c =
   let n = Array.length c.next in

@@ -64,5 +64,12 @@ let reset_stats t =
   t.t_l2_hits <- 0;
   t.t_walks <- 0
 
+let reset t =
+  Cache.invalidate_all t.t_l1;
+  Cache.invalidate_all t.t_l2;
+  Cache.reset_counters t.t_l1;
+  Cache.reset_counters t.t_l2;
+  reset_stats t
+
 let pages_touched ~buffer_bytes ~page_bytes =
   (buffer_bytes + page_bytes - 1) / page_bytes

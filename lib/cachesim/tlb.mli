@@ -23,13 +23,17 @@ val create : config -> t
 
 type outcome = L1_hit | L2_hit | Walk
 
-val access : t -> int64 -> outcome
+val access : t -> int -> outcome
 (** Translate one byte address. *)
 
 type stats = { l1_hits : int; l2_hits : int; walks : int }
 
 val stats : t -> stats
 val reset_stats : t -> unit
+
+val reset : t -> unit
+(** Empty both levels and zero every counter: the TLB then behaves
+    exactly as a fresh {!create} of the same config. *)
 
 val pages_touched : buffer_bytes:int -> page_bytes:int -> int
 (** Helper: pages a buffer spans (ceiling division). *)

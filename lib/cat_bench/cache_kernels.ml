@@ -69,15 +69,24 @@ let common_overhead a n_accesses =
   Activity.set a Keys.core_instructions instructions;
   Activity.set a Keys.core_uops (1.05 *. instructions)
 
-let thread_activity config ~rep ~thread =
-  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-  let tlb = Cachesim.Tlb.create Cachesim.Tlb.default_config in
+type simulator = { hierarchy : Cachesim.Hierarchy.t; tlb : Cachesim.Tlb.t }
+
+let simulator () =
+  {
+    hierarchy = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config;
+    tlb = Cachesim.Tlb.create Cachesim.Tlb.default_config;
+  }
+
+let thread_activity ?(sim = simulator ()) config ~rep ~thread =
+  let h = sim.hierarchy and tlb = sim.tlb in
+  Cachesim.Hierarchy.reset h;
+  Cachesim.Tlb.reset tlb;
   let rng =
     Numkit.Rng.of_string
       (Printf.sprintf "cat-cache/%s/rep=%d/thread=%d" config.label rep thread)
   in
   let chain =
-    Cachesim.Pointer_chase.make ~base:0L
+    Cachesim.Pointer_chase.make ~base:0
       ~pointers:(config.buffer_bytes / config.stride_bytes)
       ~stride_bytes:config.stride_bytes
       (Cachesim.Pointer_chase.Shuffled rng)

@@ -31,9 +31,19 @@ val accesses : int
 (** Measured dependent loads per configuration (after a warmup
     walk). *)
 
-val thread_activity : config -> rep:int -> thread:int -> Hwsim.Activity.t
-(** Simulate one thread's chase: fresh hierarchy, rep/thread-seeded
-    random chain, warmup walk, measured chase. *)
+type simulator
+(** One default cache hierarchy and data TLB, reusable across chases. *)
+
+val simulator : unit -> simulator
+
+val thread_activity :
+  ?sim:simulator -> config -> rep:int -> thread:int -> Hwsim.Activity.t
+(** Simulate one thread's chase: empty hierarchy and TLB, rep/thread-
+    seeded random chain, warmup walk, measured chase.  [sim] (a fresh
+    {!simulator} by default) is reset before the chase, so a reused
+    simulator gives the same activity as a fresh one; a caller running
+    many chases passes one to avoid reallocating it per chase.  A
+    simulator must not be shared between concurrent chases. *)
 
 val ideal_row : config -> Hwsim.Activity.t
 (** The idealized expectation: all [accesses] loads served by the

@@ -124,31 +124,54 @@ let zen_flops_range ?(reps = default_reps) ~lo ~hi () =
 
 (* The thread activities are a function of (kernel config, rep,
    thread) only — independent of which events a build measures — so
-   shards of the same campaign can share one generation.  Cached at
-   the last repetition count (shard sweeps hit the same count N
-   times in a row). *)
+   shards of the same campaign can share one generation.
+
+   The chases are independent, so [executor] runs them as
+   [Executor.jobs executor] tasks.  Task [k] owns one simulator and
+   walks chases [k], [k + jobs], ... of the flat (rep, row, thread)
+   index space; a simulator is reset before each chase, so every
+   activity is the one a fresh simulator gives, whatever the task
+   split. *)
+let generate_dcache_activities ~executor ~reps =
+  let configs = Array.of_list Cache_kernels.configs in
+  let nrows = Array.length configs and threads = Cache_kernels.threads in
+  let total = reps * nrows * threads in
+  let jobs = Executor.jobs executor in
+  let chase i =
+    let thread = i mod threads and row = i / threads mod nrows in
+    (configs.(row), i / (threads * nrows), thread)
+  in
+  let strides =
+    Executor.map ~executor jobs (fun k ->
+        let sim = Cache_kernels.simulator () in
+        Array.init
+          ((total - k + jobs - 1) / jobs)
+          (fun j ->
+            let config, rep, thread = chase (k + (j * jobs)) in
+            Cache_kernels.thread_activity ~sim config ~rep ~thread))
+  in
+  Array.init reps (fun rep ->
+      Array.init nrows (fun row ->
+          Array.init threads (fun thread ->
+              let i = (((rep * nrows) + row) * threads) + thread in
+              strides.(i mod jobs).(i / jobs))))
+
+(* Cached at the last repetition count (shard sweeps hit the same
+   count N times in a row).  Only the calling domain fills the cache:
+   the parallel shard front prewarms it before dispatch, so shard
+   builders on worker domains only read it. *)
 let dcache_activities =
   let cache = ref None in
-  fun ~reps ->
+  fun ?(executor = Executor.Seq) ~reps () ->
     match !cache with
     | Some (r, a) when r = reps -> a
     | _ ->
-      let configs = Array.of_list Cache_kernels.configs in
-      let a =
-        Array.init reps (fun rep ->
-            Array.init (Array.length configs) (fun row ->
-                Array.init Cache_kernels.threads (fun thread ->
-                    Cache_kernels.thread_activity configs.(row) ~rep ~thread)))
-      in
+      let a = generate_dcache_activities ~executor ~reps in
       cache := Some (reps, a);
       a
 
-(* Pre-force the activity cache from the calling (main) domain before
-   shard builders run on worker domains: the workers then only read
-   the populated cache.  (A concurrent miss would be benign — every
-   builder computes the same arrays and the cache write is a single
-   pointer store — but wasteful.) *)
-let prewarm_dcache ~reps = ignore (dcache_activities ~reps)
+let prewarm_dcache ?executor ~reps () =
+  ignore (dcache_activities ?executor ~reps ())
 
 let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
   let total = List.length Hwsim.Catalog_sapphire_rapids.events in
@@ -170,8 +193,10 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
   let configs = Array.of_list Cache_kernels.configs in
   let nrows = Array.length configs in
   (* activities.(rep).(row).(thread) *)
-  let activities = dcache_activities ~reps in
-  let seed = "cat-dcache" in
+  let activities = dcache_activities ~reps () in
+  let thread_seeds =
+    Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d")
+  in
   let reduce_thread_readings readings =
     match reduce with
     | `Median -> Numkit.Stats.median readings
@@ -182,9 +207,8 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
         let per_thread =
           Array.mapi
             (fun thread activity ->
-              Hwsim.Machine.measure
-                ~seed:(Printf.sprintf "%s/thread=%d" seed thread)
-                ~rep ~row event activity)
+              Hwsim.Machine.measure ~seed:thread_seeds.(thread) ~rep ~row
+                event activity)
             activities.(rep).(row)
         in
         reduce_thread_readings per_thread)

@@ -76,11 +76,14 @@ val dcache_range : ?reps:int -> lo:int -> hi:int -> unit -> t
     config, repetition and thread), so sharding does not re-simulate
     the benchmark differently. *)
 
-val prewarm_dcache : reps:int -> unit
-(** Force the shared activity cache from the calling domain.  The
-    parallel shard front calls this before dispatching dcache shards
-    to worker domains, so the one module-level cache in this library
-    is only ever read concurrently, never raced on. *)
+val prewarm_dcache : ?executor:Executor.t -> reps:int -> unit -> unit
+(** Force the shared activity cache from the calling domain, running
+    its independent chases on [executor] (default [Seq]) with one
+    reused simulator per task.  The activities are the same whatever
+    the executor.  The parallel shard front calls this before
+    dispatching dcache shards to worker domains, so the one
+    module-level cache in this library is only ever read concurrently,
+    never raced on. *)
 
 val dcache_reduced : ?reps:int -> [ `Median | `Mean ] -> t
 (** The data-cache benchmark with an explicit thread-reduction

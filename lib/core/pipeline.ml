@@ -51,12 +51,14 @@ let run ?(run = Run.default) ?config ?(shards = 1) category =
   if shards < 1 then invalid_arg "Pipeline.run: shards < 1"
   else if shards > 1 then Stage.run_sharded ~run ~config ~shards category
   else
+    let executor = Executor.default () in
     Stage.with_manifest ~run ~source:"pipeline" ~category ~config ~shards:1
       ~gate:true (fun _ ->
         Obs.span "pipeline" (fun () ->
             Obs.attr_str "category" (Category.name category);
             let dataset =
               Obs.span "dataset-collect" (fun () ->
+                  Category.prewarm ~executor ~reps:config.reps category;
                   Category.dataset ~reps:config.reps category)
             in
             run_stages ~run ~config ~category ~dataset

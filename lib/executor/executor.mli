@@ -33,9 +33,14 @@
     every reading, so shard workers never observe generator state from
     another shard — this is what makes parallel collection bit-exact.
     The one module-level cache reachable from shard tasks
-    ([Cat_bench.Dataset.dcache_activities]) is pre-forced on the
-    calling domain before dispatch.  Audited 2026-08: no other mutable
-    state in [hwsim]/[cat_bench] escapes into tasks.
+    ([Cat_bench.Dataset.dcache_activities]) is filled from the calling
+    domain before dispatch ([Core.Category.prewarm]).  That fill is
+    itself dispatched on the executor it is given: each task owns one
+    cache simulator, resets it before every chase and writes disjoint
+    slots, and no cache config carries mutable state (replacement
+    policies are plain constants), so tasks share nothing; only the
+    calling domain stores the cache.  No other mutable state in
+    [hwsim]/[cat_bench] escapes into tasks.
 
     Nested submission (a task that itself calls [map]) degrades to
     sequential execution on the worker — the pool is never re-entered,

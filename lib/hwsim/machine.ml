@@ -1,6 +1,11 @@
+(* [of_string (sprintf "%s|%s|rep=%d|row=%d" ...)], folded into the
+   hash piece by piece instead of building the string. *)
 let reading_rng ~seed ~rep ~row (event : Event.t) =
-  Numkit.Rng.of_string
-    (Printf.sprintf "%s|%s|rep=%d|row=%d" seed event.Event.name rep row)
+  let open Numkit.Rng in
+  create
+    (fnv_offset_basis |> fnv_string seed |> fnv_string "|"
+    |> fnv_string event.Event.name
+    |> fnv_string "|rep=" |> fnv_int rep |> fnv_string "|row=" |> fnv_int row)
 
 let measure ~seed ~rep ~row event activity =
   Obs.incr "hwsim.readings";

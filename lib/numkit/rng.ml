@@ -9,14 +9,42 @@ let mix z =
 
 let create seed = { state = seed; seed }
 
-let hash_string s =
-  (* FNV-1a, 64-bit. *)
-  let offset_basis = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+(* FNV-1a, 64-bit.  The loops below keep the running hash in a local
+   ref that no closure captures, so it stays unboxed; the step is
+   written out in each loop for the same reason. *)
+let fnv_offset_basis = 0xCBF29CE484222325L
+let fnv_prime = 0x100000001B3L
+
+let fnv_string s h0 =
+  let h = ref h0 in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
+
+let fnv_int n h0 =
+  let h = ref h0 in
+  if n < 0 then
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code '-'))) fnv_prime;
+  (* Digits are read off [m = -|n|], which cannot overflow at
+     [min_int]; [p] is the place value of the leading digit. *)
+  let m = if n < 0 then n else -n in
+  let p = ref 1 in
+  while m / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    let digit = -((m / !p) mod 10) in
+    h :=
+      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code '0' + digit))) fnv_prime;
+    p := !p / 10
+  done;
+  !h
+
+let hash_string s = fnv_string s fnv_offset_basis
 
 let of_string s = create (hash_string s)
 

@@ -52,5 +52,22 @@ val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle driven by [t]. *)
 
 val hash_string : string -> int64
-(** The FNV-1a hash used by {!of_string} and {!split}, exposed for
-    tests. *)
+(** The FNV-1a hash used by {!of_string} and {!split}:
+    [fnv_string s fnv_offset_basis]. *)
+
+(** {2 Incremental hashing}
+
+    FNV-1a is a left fold over bytes, so the hash of a concatenation
+    can be built piece by piece without building the string:
+    [create (fnv_offset_basis |> fnv_string a |> fnv_int n)] is
+    [of_string (a ^ string_of_int n)]. *)
+
+val fnv_offset_basis : int64
+(** The FNV-1a 64-bit offset basis: the hash of the empty string. *)
+
+val fnv_string : string -> int64 -> int64
+(** [fnv_string s h] continues the hash [h] over the bytes of [s]. *)
+
+val fnv_int : int -> int64 -> int64
+(** [fnv_int n h] continues the hash [h] over the bytes of
+    [string_of_int n], without allocating that string. *)

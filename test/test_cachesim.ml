@@ -22,20 +22,20 @@ let test_geometry () =
 let test_hit_after_miss () =
   let c = Cachesim.Cache.create (cfg 4096 8) in
   Alcotest.(check bool) "first access misses" true
-    (Cachesim.Cache.access c 0L = Cachesim.Cache.Miss);
+    (Cachesim.Cache.access c 0 = Cachesim.Cache.Miss);
   Alcotest.(check bool) "second access hits" true
-    (Cachesim.Cache.access c 0L = Cachesim.Cache.Hit);
+    (Cachesim.Cache.access c 0 = Cachesim.Cache.Hit);
   Alcotest.(check bool) "same line hits" true
-    (Cachesim.Cache.access c 63L = Cachesim.Cache.Hit);
+    (Cachesim.Cache.access c 63 = Cachesim.Cache.Hit);
   Alcotest.(check bool) "next line misses" true
-    (Cachesim.Cache.access c 64L = Cachesim.Cache.Miss);
+    (Cachesim.Cache.access c 64 = Cachesim.Cache.Miss);
   Alcotest.(check int) "demand hits" 2 (Cachesim.Cache.demand_hits c);
   Alcotest.(check int) "demand misses" 2 (Cachesim.Cache.demand_misses c)
 
 let test_lru_eviction_order () =
   (* 1 set x 2 ways: fill A, B; touch A; insert C -> B evicted. *)
   let c = Cachesim.Cache.create (cfg 128 2) in
-  let addr set_stride i = Int64.of_int (i * set_stride) in
+  let addr set_stride i = i * set_stride in
   let a = addr 128 0 and b = addr 128 1 and c3 = addr 128 2 in
   ignore (Cachesim.Cache.access c a);
   ignore (Cachesim.Cache.access c b);
@@ -49,7 +49,7 @@ let test_fifo_ignores_hits () =
   let c =
     Cachesim.Cache.create (cfg ~policy:Cachesim.Replacement.Fifo 128 2)
   in
-  let a = 0L and b = 128L and c3 = 256L in
+  let a = 0 and b = 128 and c3 = 256 in
   ignore (Cachesim.Cache.access c a);
   ignore (Cachesim.Cache.access c b);
   ignore (Cachesim.Cache.access c a);
@@ -60,23 +60,68 @@ let test_fifo_ignores_hits () =
 
 let test_probe_no_side_effect () =
   let c = Cachesim.Cache.create (cfg 4096 8) in
-  ignore (Cachesim.Cache.probe c 0L);
+  ignore (Cachesim.Cache.probe c 0);
   Alcotest.(check int) "no demand counters" 0
     (Cachesim.Cache.demand_hits c + Cachesim.Cache.demand_misses c)
 
 let test_prefetch_fill_not_counted () =
   let c = Cachesim.Cache.create (cfg 4096 8) in
-  Cachesim.Cache.fill_prefetch c 0L;
+  Cachesim.Cache.fill_prefetch c 0;
   Alcotest.(check int) "no demand traffic" 0
     (Cachesim.Cache.demand_hits c + Cachesim.Cache.demand_misses c);
   Alcotest.(check bool) "line resident" true
-    (Cachesim.Cache.access c 0L = Cachesim.Cache.Hit)
+    (Cachesim.Cache.access c 0 = Cachesim.Cache.Hit)
 
 let test_invalidate_all () =
   let c = Cachesim.Cache.create (cfg 4096 8) in
-  ignore (Cachesim.Cache.access c 0L);
+  ignore (Cachesim.Cache.access c 0);
   Cachesim.Cache.invalidate_all c;
-  Alcotest.(check bool) "gone" false (Cachesim.Cache.probe c 0L)
+  Alcotest.(check bool) "gone" false (Cachesim.Cache.probe c 0);
+  (* After invalidation (and a counter reset) a used cache evicts in
+     the same order as a fresh one: one set of four ways, a history
+     with hits and dirty lines, then the same stream on both. *)
+  List.iter
+    (fun policy ->
+      let used = Cachesim.Cache.create (cfg ~policy 256 4) in
+      List.iter
+        (fun (store, line) ->
+          let addr = line * 64 in
+          ignore
+            (if store then Cachesim.Cache.write used addr
+             else Cachesim.Cache.access used addr))
+        [ (false, 0); (true, 1); (false, 2); (false, 0); (true, 3);
+          (false, 4); (false, 1); (true, 5); (false, 6) ];
+      Cachesim.Cache.invalidate_all used;
+      Cachesim.Cache.reset_counters used;
+      let fresh = Cachesim.Cache.create (cfg ~policy 256 4) in
+      let stream =
+        [ (false, 7); (false, 2); (true, 8); (false, 7); (false, 9);
+          (false, 10); (false, 2); (true, 11); (false, 8); (false, 12);
+          (false, 7); (false, 13) ]
+      in
+      List.iteri
+        (fun i (store, line) ->
+          let step c =
+            let addr = line * 64 in
+            if store then Cachesim.Cache.write c addr
+            else Cachesim.Cache.access c addr
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "same outcome at step %d" i)
+            true
+            (step used = step fresh))
+        stream;
+      for line = 0 to 13 do
+        Alcotest.(check bool)
+          (Printf.sprintf "same residency of line %d" line)
+          (Cachesim.Cache.probe fresh (line * 64))
+          (Cachesim.Cache.probe used (line * 64))
+      done;
+      Alcotest.(check int) "same evictions"
+        (Cachesim.Cache.evictions fresh) (Cachesim.Cache.evictions used);
+      Alcotest.(check int) "same writebacks"
+        (Cachesim.Cache.writebacks fresh) (Cachesim.Cache.writebacks used))
+    [ Cachesim.Replacement.Lru; Cachesim.Replacement.Fifo ]
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy                                                           *)
@@ -85,14 +130,14 @@ let test_invalidate_all () =
 let test_hierarchy_levels () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
   Alcotest.(check bool) "cold load from memory" true
-    (Cachesim.Hierarchy.load h 0L = Cachesim.Hierarchy.Memory);
+    (Cachesim.Hierarchy.load h 0 = Cachesim.Hierarchy.Memory);
   Alcotest.(check bool) "now in L1" true
-    (Cachesim.Hierarchy.load h 0L = Cachesim.Hierarchy.L1)
+    (Cachesim.Hierarchy.load h 0 = Cachesim.Hierarchy.L1)
 
 let test_hierarchy_counters () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-  ignore (Cachesim.Hierarchy.load h 0L);
-  ignore (Cachesim.Hierarchy.load h 0L);
+  ignore (Cachesim.Hierarchy.load h 0);
+  ignore (Cachesim.Hierarchy.load h 0);
   let c = Cachesim.Hierarchy.counters h in
   Alcotest.(check int) "accesses" 2 c.Cachesim.Hierarchy.accesses;
   Alcotest.(check int) "l1 hits" 1 c.Cachesim.Hierarchy.l1_hit;
@@ -105,11 +150,11 @@ let test_hierarchy_l2_hit_path () =
      but stay within the 32 KiB L2; then re-walk: all L2 hits. *)
   let lines = 256 in
   for i = 0 to lines - 1 do
-    ignore (Cachesim.Hierarchy.load h (Int64.of_int (i * 64)))
+    ignore (Cachesim.Hierarchy.load h (i * 64))
   done;
   Cachesim.Hierarchy.reset_counters h;
   for i = 0 to lines - 1 do
-    ignore (Cachesim.Hierarchy.load h (Int64.of_int (i * 64)))
+    ignore (Cachesim.Hierarchy.load h (i * 64))
   done;
   let c = Cachesim.Hierarchy.counters h in
   Alcotest.(check int) "all L1 misses" lines c.Cachesim.Hierarchy.l1_miss;
@@ -118,7 +163,7 @@ let test_hierarchy_l2_hit_path () =
 
 let test_warm_resets_counters () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-  Cachesim.Hierarchy.warm h (Array.init 10 (fun i -> Int64.of_int (i * 64)));
+  Cachesim.Hierarchy.warm h (Array.init 10 (fun i -> i * 64));
   Alcotest.(check int) "counters clean" 0
     (Cachesim.Hierarchy.counters h).Cachesim.Hierarchy.accesses
 
@@ -128,7 +173,7 @@ let test_warm_resets_counters () =
 
 let test_chain_is_cycle_sequential () =
   let c =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers:10 ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:10 ~stride_bytes:64
       Cachesim.Pointer_chase.Sequential
   in
   Alcotest.(check bool) "cycle" true (Cachesim.Pointer_chase.is_cycle c);
@@ -139,7 +184,7 @@ let test_chain_is_cycle_shuffled () =
     (fun n ->
       let rng = Numkit.Rng.create (Int64.of_int n) in
       let c =
-        Cachesim.Pointer_chase.make ~base:0L ~pointers:n ~stride_bytes:64
+        Cachesim.Pointer_chase.make ~base:0 ~pointers:n ~stride_bytes:64
           (Cachesim.Pointer_chase.Shuffled rng)
       in
       Alcotest.(check bool) (Printf.sprintf "cycle n=%d" n) true
@@ -150,7 +195,7 @@ let test_chase_l1_resident_all_hits () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
   let rng = Numkit.Rng.create 1L in
   let c =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers:32 ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:32 ~stride_bytes:64
       (Cachesim.Pointer_chase.Shuffled rng)
   in
   let k = Cachesim.Pointer_chase.run h c ~accesses:1000 ~warmup:true in
@@ -164,7 +209,7 @@ let test_chase_oversized_all_misses () =
   let rng = Numkit.Rng.create 2L in
   let pointers = 3 * 262144 / 64 in
   let c =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers ~stride_bytes:64
       (Cachesim.Pointer_chase.Shuffled rng)
   in
   let k = Cachesim.Pointer_chase.run h c ~accesses:4096 ~warmup:true in
@@ -173,7 +218,7 @@ let test_chase_oversized_all_misses () =
 let test_chase_warmup_removes_cold_misses () =
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
   let c =
-    Cachesim.Pointer_chase.make ~base:0L ~pointers:16 ~stride_bytes:64
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:16 ~stride_bytes:64
       Cachesim.Pointer_chase.Sequential
   in
   let cold = Cachesim.Pointer_chase.run h c ~accesses:16 ~warmup:false in
@@ -189,13 +234,64 @@ let test_stride_halves_effective_capacity () =
   let pointers = 48 (* 48 lines: fits 64-line L1 at stride 64 *) in
   let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
   let seq = Cachesim.Pointer_chase.Sequential in
-  let c64 = Cachesim.Pointer_chase.make ~base:0L ~pointers ~stride_bytes:64 seq in
+  let c64 = Cachesim.Pointer_chase.make ~base:0 ~pointers ~stride_bytes:64 seq in
   let k64 = Cachesim.Pointer_chase.run h c64 ~accesses:1000 ~warmup:true in
   Alcotest.(check int) "stride 64 hits" 1000 k64.Cachesim.Hierarchy.l1_hit;
   let h2 = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
-  let c128 = Cachesim.Pointer_chase.make ~base:0L ~pointers ~stride_bytes:128 seq in
+  let c128 = Cachesim.Pointer_chase.make ~base:0 ~pointers ~stride_bytes:128 seq in
   let k128 = Cachesim.Pointer_chase.run h2 c128 ~accesses:1000 ~warmup:true in
   Alcotest.(check int) "stride 128 misses" 1000 k128.Cachesim.Hierarchy.l1_miss
+
+let test_reset_matches_fresh () =
+  (* A cold chase (no warmup walk, so leftover lines or pages would
+     turn its cold misses into hits) on a used-then-reset hierarchy
+     and TLB counts exactly what it counts on fresh ones. *)
+  let chain seed pointers =
+    Cachesim.Pointer_chase.make ~base:0 ~pointers ~stride_bytes:64
+      (Cachesim.Pointer_chase.Shuffled (Numkit.Rng.create seed))
+  in
+  let cold h tlb =
+    Cachesim.Pointer_chase.run_instrumented ~tlb h (chain 12L 3000)
+      ~accesses:6000 ~warmup:false
+  in
+  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
+  let tlb = Cachesim.Tlb.create Cachesim.Tlb.default_config in
+  ignore
+    (Cachesim.Pointer_chase.run_instrumented ~tlb h (chain 11L 5000)
+       ~accesses:7000 ~warmup:true);
+  Cachesim.Hierarchy.reset h;
+  Cachesim.Tlb.reset tlb;
+  let reused = cold h tlb in
+  let fresh =
+    cold
+      (Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config)
+      (Cachesim.Tlb.create Cachesim.Tlb.default_config)
+  in
+  Alcotest.(check bool) "same cache counters" true (reused.cache = fresh.cache);
+  Alcotest.(check bool) "same TLB stats" true (reused.tlb = fresh.tlb)
+
+let test_chase_allocation_free () =
+  (* The measured chase allocates nothing per access: with a TLB and a
+     reused hierarchy, one call allocates the same words (its result
+     record) whether it runs 1000 or 9000 accesses. *)
+  let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
+  let tlb = Cachesim.Tlb.create Cachesim.Tlb.default_config in
+  let c =
+    Cachesim.Pointer_chase.make ~base:0 ~pointers:4096 ~stride_bytes:64
+      (Cachesim.Pointer_chase.Shuffled (Numkit.Rng.create 3L))
+  in
+  let words accesses =
+    Cachesim.Hierarchy.reset h;
+    Cachesim.Tlb.reset tlb;
+    let before = Gc.minor_words () in
+    ignore
+      (Cachesim.Pointer_chase.run_instrumented ~tlb h c ~accesses ~warmup:true);
+    Gc.minor_words () -. before
+  in
+  ignore (words 16);
+  let short = words 1000 in
+  let long = words 9000 in
+  Alcotest.(check (float 0.0)) "words independent of accesses" short long
 
 let prop_shuffled_chain_cycle =
   QCheck.Test.make ~name:"shuffled chain is a single cycle" ~count:100
@@ -203,7 +299,7 @@ let prop_shuffled_chain_cycle =
     (fun n ->
       let rng = Numkit.Rng.create (Int64.of_int (n * 31)) in
       let c =
-        Cachesim.Pointer_chase.make ~base:0L ~pointers:n ~stride_bytes:64
+        Cachesim.Pointer_chase.make ~base:0 ~pointers:n ~stride_bytes:64
           (Cachesim.Pointer_chase.Shuffled rng)
       in
       Cachesim.Pointer_chase.is_cycle c)
@@ -215,7 +311,7 @@ let prop_counters_conserve =
       let h = Cachesim.Hierarchy.create Cachesim.Hierarchy.default_config in
       let rng = Numkit.Rng.create (Int64.of_int pointers) in
       let c =
-        Cachesim.Pointer_chase.make ~base:0L ~pointers
+        Cachesim.Pointer_chase.make ~base:0 ~pointers
           ~stride_bytes:(64 * stride_mult)
           (Cachesim.Pointer_chase.Shuffled rng)
       in
@@ -247,6 +343,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_hierarchy_counters;
           Alcotest.test_case "L2 hit path" `Quick test_hierarchy_l2_hit_path;
           Alcotest.test_case "warm resets" `Quick test_warm_resets_counters;
+          Alcotest.test_case "reset = fresh" `Quick test_reset_matches_fresh;
+          Alcotest.test_case "chase allocation-free" `Quick test_chase_allocation_free;
         ] );
       ( "pointer-chase",
         [

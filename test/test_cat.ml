@@ -158,6 +158,30 @@ let test_cache_threads_vary () =
     (Hwsim.Activity.get a0 Keys.cache_l1_dh)
     (Hwsim.Activity.get a1 Keys.cache_l1_dh)
 
+let test_cache_reused_simulator_matches_fresh () =
+  (* One simulator carried across every config (so each chase starts
+     from the previous one's state, then resets) gives the activity a
+     fresh simulator gives. *)
+  let sim = Cat_bench.Cache_kernels.simulator () in
+  List.iter
+    (fun (rep, thread) ->
+      List.iter
+        (fun (c : Cat_bench.Cache_kernels.config) ->
+          let label = Printf.sprintf "%s rep=%d thread=%d" c.label rep thread in
+          let fresh = Cat_bench.Cache_kernels.thread_activity c ~rep ~thread in
+          let reused =
+            Cat_bench.Cache_kernels.thread_activity ~sim c ~rep ~thread
+          in
+          Alcotest.(check (list string)) (label ^ " keys")
+            (Hwsim.Activity.keys fresh) (Hwsim.Activity.keys reused);
+          List.iter
+            (fun k ->
+              Alcotest.(check (float 0.0)) (label ^ " " ^ k)
+                (Hwsim.Activity.get fresh k) (Hwsim.Activity.get reused k))
+            (Hwsim.Activity.keys fresh))
+        Cat_bench.Cache_kernels.configs)
+    [ (0, 0); (3, 5) ]
+
 let test_ideal_row_matches_simulation () =
   (* The idealized expectation rows agree with the simulated steady
      state on the hit-level keys. *)
@@ -280,6 +304,8 @@ let () =
           Alcotest.test_case "regions covered" `Quick test_cache_regions_covered;
           Alcotest.test_case "step function" `Slow test_cache_thread_activity_step_function;
           Alcotest.test_case "threads consistent" `Quick test_cache_threads_vary;
+          Alcotest.test_case "reused simulator = fresh" `Slow
+            test_cache_reused_simulator_matches_fresh;
           Alcotest.test_case "ideal matches simulation" `Slow test_ideal_row_matches_simulation;
         ] );
       ( "ideals",

@@ -239,6 +239,42 @@ let test_measure_repetitions_shape () =
   let reps = Hwsim.Machine.measure_repetitions ~seed:"s" ~reps:3 e rows in
   Alcotest.(check int) "3 reps" 3 (List.length reps)
 
+(* The reading seed is folded into the hash piece by piece; it must
+   give the generator the formatted seed string gives. *)
+let seed_ints = [ 0; 9; 10; 99; 100; 12345; max_int; -1; min_int ]
+
+let test_fnv_int_matches_string_of_int () =
+  let module R = Numkit.Rng in
+  List.iter
+    (fun h ->
+      List.iter
+        (fun n ->
+          Alcotest.(check int64) (string_of_int n)
+            (R.fnv_string (string_of_int n) h)
+            (R.fnv_int n h))
+        seed_ints)
+    [ R.fnv_offset_basis; R.hash_string "cat-dcache|E|rep=" ]
+
+let test_reading_rng_matches_string_seed () =
+  let draws rng = List.init 6 (fun _ -> Numkit.Rng.next_int64 rng) in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun name ->
+          let e = Hwsim.Event.make ~name ~desc:"" [ (1.0, "x") ] in
+          List.iter
+            (fun rep ->
+              List.iter
+                (fun row ->
+                  let key = Printf.sprintf "%s|%s|rep=%d|row=%d" seed name rep row in
+                  Alcotest.(check (list int64)) (String.escaped key)
+                    (draws (Numkit.Rng.of_string key))
+                    (draws (Hwsim.Machine.reading_rng ~seed ~rep ~row e)))
+                seed_ints)
+            seed_ints)
+        [ "MEM_LOAD_RETIRED:L1_HIT"; "a|b=c"; "|=|rep=1"; "caf\xc3\xa9\xff" ])
+    [ ""; "cat-dcache/thread=7" ]
+
 (* ------------------------------------------------------------------ *)
 (* Docgen                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -390,5 +426,9 @@ let () =
           Alcotest.test_case "per-rep reproducible" `Quick test_measure_noisy_reproducible_per_rep;
           Alcotest.test_case "vector shape" `Quick test_measure_vector_shape;
           Alcotest.test_case "repetitions shape" `Quick test_measure_repetitions_shape;
+          Alcotest.test_case "digit fold = string_of_int" `Quick
+            test_fnv_int_matches_string_of_int;
+          Alcotest.test_case "reading seed = string seed" `Quick
+            test_reading_rng_matches_string_seed;
         ] );
     ]

@@ -327,6 +327,26 @@ let test_executor_unit () =
   Alcotest.(check bool) "of_jobs 0 = Seq" true (E.of_jobs 0 = E.Seq);
   Alcotest.(check int) "jobs (Domains 3)" 3 (E.jobs (E.Domains 3))
 
+(* The dcache activity cache, filled on two domains (one reused
+   simulator per task), yields the dataset the sequential fill yields.
+   The cache holds one repetition count, so a [~reps:0] prewarm (no
+   chases) evicts it and the next prewarm regenerates. *)
+let test_parallel_prewarm_matches_seq () =
+  let module C = Core.Category in
+  let build executor =
+    C.prewarm ~reps:0 C.Dcache;
+    C.prewarm ~executor ~reps:1 C.Dcache;
+    C.dataset_range ~reps:1 ~lo:0 ~hi:40 C.Dcache
+  in
+  let values (d : Cat_bench.Dataset.t) =
+    List.map
+      (fun (m : Cat_bench.Dataset.measurement) ->
+        (m.event.Hwsim.Event.name, m.reps))
+      d.measurements
+  in
+  let seq = build E.Seq and par = build (E.Domains 2) in
+  Alcotest.(check bool) "same readings" true (values seq = values par)
+
 (* Worker-domain Obs capture: counters accumulated inside captured
    tasks replay to the same totals the sequential order produces. *)
 let test_executor_capture_counters () =
@@ -464,6 +484,8 @@ let () =
             test_executor_unit;
           test_case "worker capture replays counters" `Quick
             test_executor_capture_counters;
+          test_case "parallel dcache prewarm = seq" `Quick
+            test_parallel_prewarm_matches_seq;
         ] );
       ( "concurrent",
         [
