@@ -85,8 +85,11 @@ shard-smoke:
 # produce byte-identical full output (--show all, per-event noise
 # values included) for every category (cmp, not diff), and so must the
 # monolithic dcache run, whose activity generation also runs on the
-# executor; an impossible --jobs value must fail through the typed
-# lint diagnostic.  Finishes with the parallel-front benchmark smoke.
+# executor; the manifests of a sharded dcache run at --jobs 1 and at
+# --jobs 2 (workers emit spans and counters live) must show no
+# non-timing difference; an impossible --jobs value must fail through
+# the typed lint diagnostic.  Finishes with the parallel-front
+# benchmark smoke.
 par-smoke:
 	for c in cpu-flops gpu-flops branch dcache; do \
 	  dune exec bin/analyze.exe -- -c $$c --shards 3 --jobs 1 \
@@ -100,6 +103,12 @@ par-smoke:
 	dune exec bin/analyze.exe -- -c dcache --shards 1 --jobs 2 \
 	  --show all > /tmp/par_smoke_par.txt
 	cmp /tmp/par_smoke_seq.txt /tmp/par_smoke_par.txt
+	dune exec bin/analyze.exe -- -c dcache --shards 4 --jobs 1 \
+	  --show summary --manifest /tmp/par_smoke_j1.json
+	dune exec bin/analyze.exe -- -c dcache --shards 4 --jobs 2 \
+	  --show summary --manifest /tmp/par_smoke_j2.json
+	dune exec bin/analyze.exe -- report --diff /tmp/par_smoke_j1.json \
+	  /tmp/par_smoke_j2.json
 	! dune exec bin/analyze.exe -- -c branch --jobs 0 --show summary 2> /dev/null
 	dune exec bench/par_bench.exe -- --smoke --out /tmp/BENCH_par_smoke.json
 	dune exec bench/par_bench.exe -- --check /tmp/BENCH_par_smoke.json

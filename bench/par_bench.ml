@@ -3,9 +3,13 @@
    sequential reference.
 
    Each sample times the front half (collection + classification of
-   every shard, dispatched through [Core.Exec.map] with per-shard
-   [Obs.with_capture]/[replay] exactly as the product's
-   [Stage.run_sharded] does) and the merge + downstream half.  Every
+   every shard, dispatched through [Core.Exec.map] exactly as the
+   product's [Stage.run_sharded] does) and the merge + downstream
+   half.  The installed [Obs.Recorder] is called directly from the
+   worker domains: the collector is domain-safe (per-domain span
+   stacks, one lock around the shared tables and sink dispatch), and
+   readings are counted once per sweep, so the front takes that lock
+   a few thousand times, not once per reading.  Every
    run is self-validating: the chosen events at jobs>1 must be
    bit-identical to the jobs=1 run of the same shard layout — the
    executor contract is byte-identity, so any divergence is a bug,
@@ -47,8 +51,7 @@ type sample = {
 let ms_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6
 
 (* One sharded run at a given concurrency, front dispatched through
-   the executor the same way [Stage.run_sharded] dispatches it:
-   per-shard Obs capture on the worker, replay on this domain. *)
+   the executor the same way [Stage.run_sharded] dispatches it. *)
 let run_one ~category ~shards ~jobs =
   let config = Core.Stage.default_config category in
   let executor = Core.Exec.of_jobs jobs in
@@ -63,16 +66,14 @@ let run_one ~category ~shards ~jobs =
      apparent speedup with a cache artifact. *)
   Core.Category.prewarm ~reps:config.reps category;
   let t0 = Obs.Clock.now_ns () in
-  let captured =
+  let classified =
     Core.Exec.map ~executor (Array.length ranges) (fun i ->
-        Obs.with_capture (fun () ->
-            let ds =
-              Core.Stage.collect_shard ~reps:config.reps category ranges.(i)
-            in
-            Core.Stage.classify_shard ~config ~category ds))
+        let ds =
+          Core.Stage.collect_shard ~reps:config.reps category ranges.(i)
+        in
+        Core.Stage.classify_shard ~config ~category ds)
+    |> Array.to_list
   in
-  Array.iter (fun (_, c) -> Option.iter Obs.replay c) captured;
-  let classified = Array.to_list (Array.map fst captured) in
   let t1 = Obs.Clock.now_ns () in
   let r = Core.Stage.run_merged ~category classified in
   let t2 = Obs.Clock.now_ns () in

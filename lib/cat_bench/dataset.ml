@@ -220,7 +220,10 @@ let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
           Obs.incr "dataset.events_measured";
           Obs.add "dataset.repetitions" (float_of_int reps);
           Obs.add "dataset.thread_reductions"
-            (float_of_int (reps * nrows))
+            (float_of_int (reps * nrows));
+          let readings = reps * nrows * Cache_kernels.threads in
+          Hwsim.Machine.count_readings ~readings
+            ~draws:(readings * Hwsim.Noise_model.draws event.Hwsim.Event.noise)
         end;
         { event; reps = List.init reps (fun rep -> measure_rep event rep) })
       events

@@ -23,7 +23,6 @@ let group_of_event cfg ~n_events ~event_index =
 let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
     activity =
   validate cfg;
-  Obs.incr "multiplex.measurements";
   let ideal = Hwsim.Event.ideal_value event activity in
   let n_groups = groups cfg ~n_events in
   (* The event's group is active in every n_groups-th slice.  The
@@ -77,6 +76,14 @@ let dataset cfg ~name ~seed ~reps ~events ~rows ~row_labels =
   let measurements =
     List.mapi
       (fun event_index event ->
+        (* One sweep: count its readings and noise draws once.  They
+           are not [hwsim.readings]: no [Machine.measure] runs here. *)
+        let readings = reps * Array.length rows in
+        if Obs.enabled () && readings > 0 then begin
+          Obs.add "multiplex.measurements" (float_of_int readings);
+          let draws = readings * Hwsim.Noise_model.draws event.Hwsim.Event.noise in
+          if draws > 0 then Obs.add "hwsim.noise_draws" (float_of_int draws)
+        end;
         {
           Dataset.event;
           reps =

@@ -36,7 +36,8 @@ val measure :
   n_events:int -> Hwsim.Event.t -> Hwsim.Activity.t -> float
 (** One multiplexed reading: the event's ideal value, observed during
     its group's slices with jitter, extrapolated, then passed through
-    the event's own noise model. *)
+    the event's own noise model.  Makes no [Obs] call: {!dataset}
+    counts its readings once per event sweep. *)
 
 val dataset :
   config -> name:string -> seed:string -> reps:int ->

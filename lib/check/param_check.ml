@@ -112,8 +112,10 @@ let check_reps ?category reps =
 
 (* The jobs count is pipeline configuration like tau or alpha: reject
    impossible values as typed diagnostics, and flag the shape that
-   silently buys nothing — more workers than shards leaves the surplus
-   without work (a warning, not an error: the run is still correct). *)
+   buys less than it asks for — more workers than shards leaves the
+   surplus without a shard to run (a warning, not an error: the run is
+   still correct, and dcache activity generation still uses every
+   domain). *)
 let check_jobs ?category ?shards jobs =
   if jobs < 1 then
     [
@@ -136,7 +138,7 @@ let check_jobs ?category ?shards jobs =
             ]
           "param/unknown-jobs" D.Warn "jobs"
           "jobs = %d exceeds the %d shard(s) of the front: the extra \
-           domains get no work"
+           domains get no shard to collect or classify"
           jobs s;
       ]
     | _ -> []

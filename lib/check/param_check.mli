@@ -39,7 +39,8 @@ val check_jobs :
   ?category:string -> ?shards:int -> int -> Core.Diagnostic.t list
 (** [param/unknown-jobs]: error when [jobs < 1] (the executor needs at
     least one domain), warning when [shards] is given and [jobs]
-    exceeds it (the surplus domains get no work). *)
+    exceeds it (the surplus domains get no shard to collect or
+    classify; dcache activity generation still uses them). *)
 
 val analyze :
   ?category:string ->

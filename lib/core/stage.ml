@@ -720,25 +720,17 @@ let check_shard_counter_invariant ~category ~before:(ev0, kp0, nf_kept0) =
    [Seq] is the bit-exact reference: the same direct calls in index
    order the pre-executor code made, with no wrapping of any kind.
 
-   [Domains] hands shards to the pool.  Each task is wrapped in
-   [Obs.with_capture] so worker domains never touch the collector's
-   global state; the captures are replayed on this domain in shard
-   order, so sinks, counters (and therefore the shard-counter
-   invariant and recorded manifests) observe exactly the stream a
-   sequential front would have produced.  Module-level caches a task
-   could populate ([Dataset.dcache_activities]) are pre-forced here
-   first, on the same executor, so workers only ever read them. *)
+   [Domains] hands shards to the pool.  Workers call the collector
+   directly: their spans are roots on their own domain, and counter
+   deltas are whole numbers, so the totals (and therefore the
+   shard-counter invariant and recorded manifests) match the
+   sequential front.  Module-level caches a task could populate
+   ([Dataset.dcache_activities]) are pre-forced here first, on the
+   same executor, so workers only ever read them. *)
 let run_front ~config ~category ~executor ~shards ranges =
-  let work i range =
-    Obs.Progress.note_shard_start ~index:i ~total:shards;
-    let t0 = Obs.Clock.now_ns () in
-    let s =
-      classify_shard ~config ~category
-        (collect_shard ~reps:config.reps category range)
-    in
-    Obs.Progress.note_shard_done ~total:shards
-      ~dur_ns:(Int64.sub (Obs.Clock.now_ns ()) t0);
-    s
+  let work range =
+    classify_shard ~config ~category
+      (collect_shard ~reps:config.reps category range)
   in
   match executor with
   | Executor.Seq ->
@@ -746,7 +738,7 @@ let run_front ~config ~category ~executor ~shards ranges =
       List.mapi
         (fun i range ->
           Obs.Progress.note_shard ~index:i ~total:shards;
-          work i range)
+          work range)
         ranges
     in
     Obs.Progress.note_shard ~index:shards ~total:shards;
@@ -755,12 +747,8 @@ let run_front ~config ~category ~executor ~shards ranges =
     Category.prewarm ~executor:e ~reps:config.reps category;
     Obs.Progress.note_front ~total:shards ~jobs:(Executor.jobs e);
     let arr = Array.of_list ranges in
-    let tagged =
-      Executor.map ~executor:e (Array.length arr) (fun i ->
-          Obs.with_capture (fun () -> work i arr.(i)))
-    in
-    Array.iter (fun (_, cap) -> Option.iter Obs.replay cap) tagged;
-    Array.to_list (Array.map fst tagged)
+    Array.to_list
+      (Executor.map ~executor:e (Array.length arr) (fun i -> work arr.(i)))
 
 let run_sharded ?(run = Run.default) ?config ?executor ~shards category =
   let config =

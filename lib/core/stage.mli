@@ -214,8 +214,9 @@ val run_sharded :
     one manifest scope.  Bit-identical to {!Pipeline.run} for every
     [shards >= 1], and — for every executor — to the [Exec.Seq]
     reference: shards are pure functions of their catalog range,
-    worker-domain [Obs] events are captured and replayed in shard
-    order, and the merge is order-insensitive by construction.
+    worker-domain [Obs] counters sum to the same whole-number totals
+    in any order, and the merge is order-insensitive by
+    construction.
     [executor] defaults to {!Exec.default}, [run] to {!Run.default}. *)
 
 (** {1 Shard artifact JSON} *)

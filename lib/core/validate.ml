@@ -6,18 +6,27 @@ type report = {
   relative_error : float;
 }
 
+(* One sweep over the combination's events: its readings and noise
+   draws are counted once, after the fold. *)
 let evaluate_combination comb ~catalog ~seed activity =
-  List.fold_left
-    (fun acc (c, name) ->
-      if Float.abs c <= 1e-12 then acc
-      else begin
-        let event =
-          List.find (fun (e : Hwsim.Event.t) -> e.Hwsim.Event.name = name) catalog
-        in
-        let reading = Hwsim.Machine.measure ~seed ~rep:0 ~row:0 event activity in
-        acc +. (c *. reading)
-      end)
-    0.0 comb
+  let readings = ref 0 and draws = ref 0 in
+  let value =
+    List.fold_left
+      (fun acc (c, name) ->
+        if Float.abs c <= 1e-12 then acc
+        else begin
+          let event =
+            List.find (fun (e : Hwsim.Event.t) -> e.Hwsim.Event.name = name) catalog
+          in
+          let reading = Hwsim.Machine.measure ~seed ~rep:0 ~row:0 event activity in
+          incr readings;
+          draws := !draws + Hwsim.Noise_model.draws event.Hwsim.Event.noise;
+          acc +. (c *. reading)
+        end)
+      0.0 comb
+  in
+  Hwsim.Machine.count_readings ~readings:!readings ~draws:!draws;
+  value
 
 let validate ~(metric : Metric_solver.metric_def) ~catalog ~truth ~apps =
   List.map

@@ -20,9 +20,15 @@
     cells indexed by task).  Within each task the floating-point
     operation order is identical to the sequential reference, so the
     bits written do not depend on which domain ran the task or when.
-    The only ordered side channel is observability: call sites capture
-    [Obs] events per task and replay them on the calling domain in
-    task-index order (see [Obs.with_capture]).
+    Observability is the one side channel, and it is order-free where
+    outputs depend on it: tasks call the domain-safe [Obs] collector
+    directly (per-domain span stacks, one lock around the shared
+    tables and sink dispatch), so events reach the sinks in completion
+    order.  Counter deltas are whole numbers, so totals do not depend
+    on that order; span names and counts do not either.  Sinks run
+    under the collector lock and must not call [Obs]; a gauge set in a
+    task is last-write-wins in completion order (no library code sets
+    one).
 
     {1 Shared-state / RNG invariant}
 

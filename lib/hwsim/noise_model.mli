@@ -23,6 +23,11 @@ val apply : t -> Numkit.Rng.t -> float -> float
 (** Apply the model to an ideal value.  The result is clamped at zero
     and rounded to the nearest integer — counters count. *)
 
+val draws : t -> int
+(** Normal draws one {!apply} makes: 0 for [Exact], 1 for [Gauss_rel]
+    and [Gauss_abs], 2 for [Mixed].  {!apply} makes no [Obs] call;
+    each sweep of readings adds [hwsim.noise_draws] once, from this. *)
+
 val describe : t -> string
 
 val is_exact : t -> bool

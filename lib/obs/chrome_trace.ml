@@ -49,13 +49,16 @@ let add_event t fields =
   Buffer.add_char t.buf '}';
   t.events <- t.events + 1
 
+(* The collector calls sinks on the domain that emitted the event, so
+   the thread id is that domain's: begin/end pairs nest per [tid].  The
+   main domain (id 0) keeps tid 1. *)
 let common t ~name ~ph ~ts_ns =
   [
     ("name", escape name);
     ("ph", escape ph);
     ("ts", Printf.sprintf "%.3f" (ts_us t ts_ns));
     ("pid", "1");
-    ("tid", "1");
+    ("tid", string_of_int ((Domain.self () :> int) + 1));
   ]
 
 let args_json attrs =

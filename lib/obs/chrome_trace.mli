@@ -4,7 +4,9 @@
     form, one event object per line (B/E duration events for spans,
     C events for counters and gauges), loadable directly in
     [chrome://tracing] or [ui.perfetto.dev].  Timestamps are
-    microseconds relative to sink creation, so traces start at 0. *)
+    microseconds relative to sink creation, so traces start at 0.
+    Each event's [tid] is the emitting domain's id plus one (the main
+    domain is tid 1), so spans nest per domain. *)
 
 type t
 

@@ -1,31 +1,31 @@
 (* Folded-stack accumulation for flamegraph export.
 
-   The sink mirrors the collector's span stack.  When a span ends, its
+   Open frames are keyed by span id; a span's stack key is its
+   parent's key extended by its own name, so spans that domains emit
+   concurrently each extend their own parent.  When a span ends, its
    self time (duration minus the time spent in child spans) is added
-   to the bucket keyed by the ';'-joined stack up to and including
-   that span, and its full duration is charged to the parent frame's
-   child accumulator.  Self-time bucketing is what makes the folded
-   semantics correct: flamegraph.pl widths sum every line a frame
-   prefixes, so inclusive counts would double-count children. *)
+   to the bucket of its stack key, and its full duration is charged
+   to the parent frame's child accumulator.  Self-time bucketing is
+   what makes the folded semantics correct: flamegraph.pl widths sum
+   every line a frame prefixes, so inclusive counts would double-count
+   children. *)
 
 type frame = {
-  name : string;  (* sanitized *)
+  key : string;  (* ';'-joined sanitized stack, root first *)
+  parent : int;
   mutable child_ns : int64;  (* time spent in already-closed children *)
 }
 
 type t = {
   totals : (string, int64 ref) Hashtbl.t;  (* stack -> self ns *)
-  mutable stack : frame list;  (* innermost first *)
+  frames : (int, frame) Hashtbl.t;  (* open spans by id *)
 }
 
-let create () = { totals = Hashtbl.create 64; stack = [] }
+let create () = { totals = Hashtbl.create 64; frames = Hashtbl.create 16 }
 
 (* Folded grammar: frames may not contain the separator characters. *)
 let sanitize name =
   String.map (fun c -> if c = ';' || c = ' ' || c = '\n' then '_' else c) name
-
-let stack_key frames =
-  String.concat ";" (List.rev_map (fun f -> f.name) frames)
 
 let add t key ns =
   if Int64.compare ns 0L > 0 then begin
@@ -43,20 +43,24 @@ let add t key ns =
 let sink t =
   {
     Sink.on_span_start =
-      (fun ~id:_ ~parent:_ ~name ~ts_ns:_ ->
-        t.stack <- { name = sanitize name; child_ns = 0L } :: t.stack);
+      (fun ~id ~parent ~name ~ts_ns:_ ->
+        let name = sanitize name in
+        let key =
+          match Hashtbl.find_opt t.frames parent with
+          | Some p -> p.key ^ ";" ^ name
+          | None -> name
+        in
+        Hashtbl.replace t.frames id { key; parent; child_ns = 0L });
     on_span_end =
-      (fun ~id:_ ~name:_ ~ts_ns:_ ~dur_ns ~attrs:_ ->
-        match t.stack with
-        | [] -> ()  (* unbalanced end: ignore, like the other sinks *)
-        | frame :: rest ->
-          let key = stack_key t.stack in
-          let self = Int64.sub dur_ns frame.child_ns in
-          add t key (Int64.max 0L self);
-          (match rest with
-          | parent :: _ -> parent.child_ns <- Int64.add parent.child_ns dur_ns
-          | [] -> ());
-          t.stack <- rest);
+      (fun ~id ~name:_ ~ts_ns:_ ~dur_ns ~attrs:_ ->
+        match Hashtbl.find_opt t.frames id with
+        | None -> ()  (* unknown span: ignore, like the other sinks *)
+        | Some frame ->
+          Hashtbl.remove t.frames id;
+          add t frame.key (Int64.max 0L (Int64.sub dur_ns frame.child_ns));
+          (match Hashtbl.find_opt t.frames frame.parent with
+          | Some p -> p.child_ns <- Int64.add p.child_ns dur_ns
+          | None -> ()));
     on_counter = (fun ~name:_ ~delta:_ ~total:_ ~ts_ns:_ -> ());
     on_gauge = (fun ~name:_ ~value:_ ~ts_ns:_ -> ());
   }

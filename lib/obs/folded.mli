@@ -15,7 +15,9 @@
     Frame names are sanitized (spaces and semicolons become ['_']) so
     the line grammar [frame(;frame)* SP digits] always holds; lines
     are sorted, so output is deterministic for deterministic span
-    sequences. *)
+    sequences.  Open frames are keyed by span id and parent id, so
+    spans emitted concurrently on several domains each extend their
+    own parent's stack. *)
 
 type t
 

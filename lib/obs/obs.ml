@@ -12,6 +12,12 @@ module Trend = Trend
 module Folded = Folded
 module Progress = Progress
 
+(* One process-wide collector, callable from any domain.  Each domain
+   keeps its own open-span stack in domain-local storage; everything
+   shared (sinks, span ids, counter and gauge tables, sink dispatch)
+   sits behind [lock].  The enabled flag is an atomic, so the disabled
+   path is one load and takes no lock. *)
+
 type open_span = {
   id : int;
   name : string;
@@ -19,96 +25,66 @@ type open_span = {
   mutable rev_attrs : (string * Sink.attr) list;
 }
 
+let lock = Mutex.create ()
+let locked f = Mutex.protect lock f
 let sinks : Sink.t list ref = ref []
-let enabled_flag = ref false
-let stack : open_span list ref = ref []
+let enabled_flag = Atomic.make false
 let next_id = ref 1
 let counters_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 64
 let gauges_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 16
 
-let enabled () = !enabled_flag
+(* This domain's open spans, innermost first. *)
+let stack_key : open_span list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
-(* --- Per-domain capture ---------------------------------------------
+let stack () = Domain.DLS.get stack_key
 
-   The collector's global state (sinks, span stack, counter tables) is
-   owned by the main domain.  Code running on worker domains must not
-   touch it; instead a task is wrapped in [with_capture], which
-   installs a domain-local buffer recording every span/counter/gauge
-   event the task emits.  The caller replays buffers on the main
-   domain in task-index order, so sinks observe one deterministic
-   sequential stream regardless of how tasks were scheduled.
-
-   Captured span ids are buffer-local (they start at 1 per capture);
-   [replay] remaps them to fresh global ids and reparents top-level
-   captured spans under the span currently open on the main domain. *)
-
-type captured_event =
-  | Cstart of { id : int; parent : int; name : string; ts_ns : int64 }
-  | Cend of {
-      id : int;
-      name : string;
-      ts_ns : int64;
-      dur_ns : int64;
-      attrs : (string * Sink.attr) list;
-    }
-  | Ccounter of { name : string; delta : float }
-  | Cgauge of { name : string; value : float }
-
-type capture = {
-  mutable rev_events : captured_event list;
-  mutable cap_stack : open_span list;
-  mutable cap_next : int;
-}
-
-let capture_key : capture option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let current_capture () = Domain.DLS.get capture_key
+let enabled () = Atomic.get enabled_flag
 
 let install sink =
-  sinks := !sinks @ [ sink ];
-  enabled_flag := true
+  locked (fun () ->
+      sinks := !sinks @ [ sink ];
+      Atomic.set enabled_flag true)
 
 let uninstall sink =
-  sinks := List.filter (fun s -> s != sink) !sinks;
-  if !sinks = [] then enabled_flag := false
+  locked (fun () ->
+      sinks := List.filter (fun s -> s != sink) !sinks;
+      if !sinks = [] then Atomic.set enabled_flag false)
 
 let reset_counters () =
-  Hashtbl.reset counters_tbl;
-  Hashtbl.reset gauges_tbl
+  locked (fun () ->
+      Hashtbl.reset counters_tbl;
+      Hashtbl.reset gauges_tbl)
 
 let clear () =
-  sinks := [];
-  enabled_flag := false;
-  stack := [];
-  next_id := 1;
-  reset_counters ()
-
-let cap_begin_span c name =
-  let id = c.cap_next in
-  c.cap_next <- id + 1;
-  let parent = match c.cap_stack with [] -> 0 | s :: _ -> s.id in
-  let ts_ns = Clock.now_ns () in
-  c.cap_stack <- { id; name; start_ns = ts_ns; rev_attrs = [] } :: c.cap_stack;
-  c.rev_events <- Cstart { id; parent; name; ts_ns } :: c.rev_events;
-  id
+  locked (fun () ->
+      sinks := [];
+      Atomic.set enabled_flag false;
+      next_id := 1;
+      Hashtbl.reset counters_tbl;
+      Hashtbl.reset gauges_tbl);
+  stack () := []
 
 let begin_span name =
-  if not !enabled_flag then 0
-  else
-    match current_capture () with
-    | Some c -> cap_begin_span c name
-    | None ->
-      let id = !next_id in
-      Stdlib.incr next_id;
-      let parent = match !stack with [] -> 0 | s :: _ -> s.id in
-      let ts_ns = Clock.now_ns () in
-      stack := { id; name; start_ns = ts_ns; rev_attrs = [] } :: !stack;
-      List.iter
-        (fun (s : Sink.t) -> s.on_span_start ~id ~parent ~name ~ts_ns)
-        !sinks;
-      id
+  if not (enabled ()) then 0
+  else begin
+    let st = stack () in
+    let parent = match !st with [] -> 0 | s :: _ -> s.id in
+    let id, ts_ns =
+      locked (fun () ->
+          let id = !next_id in
+          Stdlib.incr next_id;
+          let ts_ns = Clock.now_ns () in
+          List.iter
+            (fun (s : Sink.t) -> s.on_span_start ~id ~parent ~name ~ts_ns)
+            !sinks;
+          (id, ts_ns))
+    in
+    st := { id; name; start_ns = ts_ns; rev_attrs = [] } :: !st;
+    id
+  end
 
+(* Caller holds [lock]. *)
 let close_one (s : open_span) =
   let ts_ns = Clock.now_ns () in
   let dur_ns = Int64.sub ts_ns s.start_ns in
@@ -118,155 +94,76 @@ let close_one (s : open_span) =
         ~attrs:(List.rev s.rev_attrs))
     !sinks
 
-let cap_close c (s : open_span) =
-  let ts_ns = Clock.now_ns () in
-  let dur_ns = Int64.sub ts_ns s.start_ns in
-  c.rev_events <-
-    Cend
-      { id = s.id; name = s.name; ts_ns; dur_ns; attrs = List.rev s.rev_attrs }
-    :: c.rev_events
-
-let cap_end_span c id =
-  if id <> 0 && List.exists (fun s -> s.id = id) c.cap_stack then begin
-    let rec pop () =
-      match c.cap_stack with
-      | [] -> ()
-      | s :: rest ->
-        c.cap_stack <- rest;
-        cap_close c s;
-        if s.id <> id then pop ()
-    in
-    pop ()
-  end
-
 let end_span id =
-  match current_capture () with
-  | Some c -> cap_end_span c id
-  | None ->
-    if id <> 0 && List.exists (fun s -> s.id = id) !stack then begin
-      (* Close any spans opened after [id] first, so an exception that
-         skipped their end_span cannot corrupt the nesting. *)
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | s :: rest ->
-          stack := rest;
-          close_one s;
-          if s.id <> id then pop ()
-      in
-      pop ()
-    end
+  let st = stack () in
+  if id <> 0 && List.exists (fun s -> s.id = id) !st then
+    (* Close any spans opened after [id] first, so an exception that
+       skipped their end_span cannot corrupt the nesting. *)
+    locked (fun () ->
+        let rec pop () =
+          match !st with
+          | [] -> ()
+          | s :: rest ->
+            st := rest;
+            close_one s;
+            if s.id <> id then pop ()
+        in
+        pop ())
 
 let span name f =
-  if not !enabled_flag then f ()
+  if not (enabled ()) then f ()
   else begin
     let id = begin_span name in
     Fun.protect ~finally:(fun () -> end_span id) f
   end
 
 let set_attr name v =
-  let st =
-    match current_capture () with Some c -> c.cap_stack | None -> !stack
-  in
-  match st with
+  match !(stack ()) with
   | [] -> ()
   | s :: _ -> s.rev_attrs <- (name, v) :: s.rev_attrs
 
-let attr_str name v = if !enabled_flag then set_attr name (Sink.Str v)
-let attr_int name v = if !enabled_flag then set_attr name (Sink.Int v)
-let attr_float name v = if !enabled_flag then set_attr name (Sink.Float v)
-let attr_bool name v = if !enabled_flag then set_attr name (Sink.Bool v)
+let attr_str name v = if enabled () then set_attr name (Sink.Str v)
+let attr_int name v = if enabled () then set_attr name (Sink.Int v)
+let attr_float name v = if enabled () then set_attr name (Sink.Float v)
+let attr_bool name v = if enabled () then set_attr name (Sink.Bool v)
 
 let add name delta =
-  if !enabled_flag then begin
-    match current_capture () with
-    | Some c -> c.rev_events <- Ccounter { name; delta } :: c.rev_events
-    | None ->
-    let cell =
-      match Hashtbl.find_opt counters_tbl name with
-      | Some c -> c
-      | None ->
-        let c = ref 0.0 in
-        Hashtbl.add counters_tbl name c;
-        c
-    in
-    cell := !cell +. delta;
-    let total = !cell in
-    let ts_ns = Clock.now_ns () in
-    List.iter (fun (s : Sink.t) -> s.on_counter ~name ~delta ~total ~ts_ns) !sinks
-  end
+  if enabled () then
+    locked (fun () ->
+        let cell =
+          match Hashtbl.find_opt counters_tbl name with
+          | Some c -> c
+          | None ->
+            let c = ref 0.0 in
+            Hashtbl.add counters_tbl name c;
+            c
+        in
+        cell := !cell +. delta;
+        let total = !cell in
+        let ts_ns = Clock.now_ns () in
+        List.iter
+          (fun (s : Sink.t) -> s.on_counter ~name ~delta ~total ~ts_ns)
+          !sinks)
 
 let incr name = add name 1.0
 
 let gauge name value =
-  if !enabled_flag then begin
-    match current_capture () with
-    | Some c -> c.rev_events <- Cgauge { name; value } :: c.rev_events
-    | None ->
-    (match Hashtbl.find_opt gauges_tbl name with
-    | Some c -> c := value
-    | None -> Hashtbl.add gauges_tbl name (ref value));
-    let ts_ns = Clock.now_ns () in
-    List.iter (fun (s : Sink.t) -> s.on_gauge ~name ~value ~ts_ns) !sinks
-  end
+  if enabled () then
+    locked (fun () ->
+        (match Hashtbl.find_opt gauges_tbl name with
+        | Some c -> c := value
+        | None -> Hashtbl.add gauges_tbl name (ref value));
+        let ts_ns = Clock.now_ns () in
+        List.iter (fun (s : Sink.t) -> s.on_gauge ~name ~value ~ts_ns) !sinks)
 
 let counter name =
-  match Hashtbl.find_opt counters_tbl name with Some c -> !c | None -> 0.0
+  locked (fun () ->
+      match Hashtbl.find_opt counters_tbl name with Some c -> !c | None -> 0.0)
 
 let counters () =
-  Hashtbl.fold (fun name c acc -> (name, !c) :: acc) counters_tbl []
+  locked (fun () ->
+      Hashtbl.fold (fun name c acc -> (name, !c) :: acc) counters_tbl [])
   |> List.sort compare
-
-let with_capture f =
-  if not !enabled_flag then (f (), None)
-  else begin
-    let c = { rev_events = []; cap_stack = []; cap_next = 1 } in
-    let saved = Domain.DLS.get capture_key in
-    Domain.DLS.set capture_key (Some c);
-    match f () with
-    | v ->
-      (* Close anything the task left open so replay never dangles. *)
-      List.iter (cap_close c) c.cap_stack;
-      c.cap_stack <- [];
-      Domain.DLS.set capture_key saved;
-      (v, Some c)
-    | exception e ->
-      Domain.DLS.set capture_key saved;
-      raise e
-  end
-
-let replay c =
-  if !enabled_flag then begin
-    let id_map = Hashtbl.create 16 in
-    let base_parent = match !stack with [] -> 0 | s :: _ -> s.id in
-    List.iter
-      (function
-        | Cstart { id; parent; name; ts_ns } ->
-          let gid = !next_id in
-          Stdlib.incr next_id;
-          Hashtbl.replace id_map id gid;
-          let gparent =
-            if parent = 0 then base_parent
-            else
-              match Hashtbl.find_opt id_map parent with
-              | Some p -> p
-              | None -> base_parent
-          in
-          List.iter
-            (fun (s : Sink.t) ->
-              s.on_span_start ~id:gid ~parent:gparent ~name ~ts_ns)
-            !sinks
-        | Cend { id; name; ts_ns; dur_ns; attrs } ->
-          let gid =
-            match Hashtbl.find_opt id_map id with Some g -> g | None -> 0
-          in
-          List.iter
-            (fun (s : Sink.t) -> s.on_span_end ~id:gid ~name ~ts_ns ~dur_ns ~attrs)
-            !sinks
-        | Ccounter { name; delta } -> add name delta
-        | Cgauge { name; value } -> gauge name value)
-      (List.rev c.rev_events)
-  end
 
 (* The collector owns sink installation, so the pairing of "install
    the progress sink" with "subscribe it to the shard tap" lives

@@ -18,13 +18,22 @@
     avoiding) behind {!enabled}; bare {!incr}/{!begin_span} calls with
     constant names are safe to leave unguarded.
 
-    The collector's global state (sinks, span stack, counter tables)
-    belongs to the main domain.  Code dispatched to worker domains by
-    [Executor] must be wrapped in {!with_capture}, which buffers the
-    task's events domain-locally; the caller then {!replay}s the
-    buffers on the main domain in task-index order.  Sinks therefore
-    always observe one deterministic sequential event stream and never
-    need their own locking. *)
+    The collector is safe to call from any domain.  Each domain keeps
+    its own stack of open spans (domain-local storage), so spans nest
+    per domain: a span opened on a worker domain with nothing open
+    there is a root ([parent = 0]).  Span ids, the counter and gauge
+    tables and sink dispatch sit behind one mutex, so an event emitted
+    on a worker reaches the sinks as soon as it happens, in completion
+    order rather than task order.  Two rules follow:
+
+    - sinks run under the collector lock and must not call [Obs]
+      (the lock is not re-entrant);
+    - a gauge set on a worker is last-write-wins in completion order
+      (no library code sets one from a task).
+
+    Counter deltas are whole numbers, so counter totals do not depend
+    on the order in which domains add them.  Hot loops count once per
+    sweep, not once per item, so a worker takes the lock rarely. *)
 
 module Sink = Sink
 module Clock = Clock
@@ -55,8 +64,8 @@ val uninstall : Sink.t -> unit
     recording around one run). *)
 
 val clear : unit -> unit
-(** Remove all sinks, drop any open spans, and reset all counters and
-    gauges — back to the zero-overhead state. *)
+(** Remove all sinks, drop the calling domain's open spans, and reset
+    all counters and gauges — back to the zero-overhead state. *)
 
 (** {1 Spans} *)
 
@@ -105,31 +114,12 @@ val reset_counters : unit -> unit
 (** Zero all counters and gauges (sinks are untouched) — used to
     measure per-phase deltas. *)
 
-(** {1 Per-domain capture}
+(** {1 Per-domain state}
 
-    Support for running instrumented code on worker domains without
-    touching the main domain's collector state. *)
-
-type capture
-(** A buffered stream of span/counter/gauge events recorded by one
-    task. *)
-
-val with_capture : (unit -> 'a) -> 'a * capture option
-(** [with_capture f] runs [f] with every collector entry point
-    redirected into a fresh domain-local buffer, restoring the
-    previous redirection afterwards.  Returns [f ()]'s value together
-    with the buffer ([None] when the collector is disabled — [f] then
-    ran with the usual zero-overhead no-ops).  Safe to call on any
-    domain; spans left open by [f] are closed at scope exit.  On
-    exception the buffer is discarded and the exception propagates. *)
-
-val replay : capture -> unit
-(** Replay a captured buffer into the main collector: spans get fresh
-    global ids (top-level captured spans are reparented under the
-    currently open span), counter deltas go through the normal
-    accumulation path, gauges are re-set.  Call on the main domain
-    only, once per capture, in the task order whose interleaving you
-    want sinks to observe.  No-op when the collector is disabled. *)
+    Only the open-span stack is per domain: {!begin_span},
+    {!end_span}, {!span} and the attribute setters act on the calling
+    domain's stack, and {!clear} drops only the calling domain's open
+    spans.  Everything else is shared under the collector lock. *)
 
 (** {1 Live progress} *)
 

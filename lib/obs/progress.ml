@@ -5,29 +5,32 @@
    The taps exist because shard progress is a *hint*, not telemetry:
    publishing it as a gauge would make it part of every recorded
    manifest and break the byte-identity of manifests captured with
-   and without --progress.  note_shard/note_shard_start/note_shard_done
-   go straight to the installed progress sinks and nowhere else, and
-   are a single list check when none is installed.
+   and without --progress.  note_shard/note_front go straight to the
+   installed progress sinks and nowhere else, and are a single list
+   check when none is installed.
 
-   Thread safety: the shard taps are called from worker domains while
-   the sink callbacks run on the main domain, so every state mutation
-   and every emission happens under one module-level mutex.  The lock
-   is cheap (uncontended except at shard boundaries) and is never held
-   across anything that can re-enter this module. *)
+   Worker-domain spans reach the sink live, so shard completions are
+   counted from [shard-classify] span ends, and only the main
+   domain's spans move the stage field (workers' spans interleave).
+
+   Thread safety: the collector calls the sink callbacks under its own
+   lock on whichever domain emitted the event, while the taps run
+   outside it, so every state mutation and every emission happens
+   under one module-level mutex.  The lock is never held across
+   anything that can re-enter this module or the collector. *)
 
 type t = {
   out : string -> unit;
   min_interval_ns : int64;
   start_ns : int64;
   mutable last_emit_ns : int64;  (* start - interval => first beat is eligible immediately *)
-  mutable stack : string list;  (* innermost first *)
+  mutable stack : string list;  (* main domain's open spans, innermost first *)
   mutable shard : int;  (* 0-based index of the shard underway; -1 none *)
   mutable shards : int;  (* total; 0 when not sharded *)
   mutable jobs : int;  (* announced concurrency; 1 = serial *)
-  mutable done_shards : int;  (* shards completed (note_shard_done) *)
+  mutable done_shards : int;  (* shards completed ([shard-classify] ends) *)
   mutable events : float;  (* dataset.events_measured total *)
   span_hists : (string, Histogram.t) Hashtbl.t;  (* completed spans *)
-  shard_hist : Histogram.t;  (* whole-shard front durations *)
   mutable emitted : int;
 }
 
@@ -51,7 +54,6 @@ let create ?(out = default_out) ?(min_interval_ns = 200_000_000L) () =
     done_shards = 0;
     events = 0.0;
     span_hists = Hashtbl.create 16;
-    shard_hist = Histogram.create ();
     emitted = 0;
   }
 
@@ -70,35 +72,24 @@ let note_hist t name dur_ns =
   in
   Histogram.observe h (Int64.to_float dur_ns)
 
-(* ETA.  Preferred source: the histogram of whole-shard durations fed
-   by note_shard_done, divided by the announced concurrency — under
-   [--jobs N] the remaining shards complete roughly N at a time, so
-   serial extrapolation would overshoot by a factor of N.  Fallback
-   (nothing measured yet through the tap): the running histograms of
-   the per-shard front spans, as before.  Conservative and cheap;
-   absent until at least one shard has completed. *)
+(* ETA: the median per-shard cost (the [shard-collect] plus the
+   [shard-classify] span medians) times the shards not yet finished,
+   divided by the announced concurrency — under [--jobs N] the
+   remaining shards complete roughly N at a time.  Conservative and
+   cheap; absent until both spans have completed at least once. *)
 let eta_ns t =
-  if t.shards <= 0 then None
-  else if Histogram.count t.shard_hist > 0 then begin
-    let per_shard = Histogram.quantile t.shard_hist 0.5 in
-    let remaining = max (t.shards - t.done_shards) 0 in
-    let effective = max 1 (min t.jobs (max remaining 1)) in
-    Some (float_of_int remaining *. per_shard /. float_of_int effective)
-  end
-  else if t.shard < 0 then None
+  let median name =
+    match Hashtbl.find_opt t.span_hists name with
+    | Some h when Histogram.count h > 0 -> Histogram.quantile h 0.5
+    | _ -> Float.nan
+  in
+  let per_shard = median "shard-collect" +. median "shard-classify" in
+  if t.shards <= 0 || Float.is_nan per_shard then None
   else
-    let median name =
-      match Hashtbl.find_opt t.span_hists name with
-      | Some h when Histogram.count h > 0 -> Histogram.quantile h 0.5
-      | _ -> Float.nan
-    in
-    let per_shard = median "shard-collect" +. median "shard-classify" in
-    if Float.is_nan per_shard then None
-    else
-      let remaining = t.shards - t.shard in
-      Some
-        (float_of_int (max remaining 0) *. per_shard
-        /. float_of_int (max 1 t.jobs))
+    let remaining = max (t.shards - t.done_shards) 0 in
+    Some
+      (float_of_int remaining *. per_shard
+      /. float_of_int (max 1 (min t.jobs remaining)))
 
 let seconds ns = ns /. 1e9
 
@@ -134,12 +125,14 @@ let sink t =
     Sink.on_span_start =
       (fun ~id:_ ~parent:_ ~name ~ts_ns:_ ->
         locked (fun () ->
-            t.stack <- name :: t.stack;
+            if Domain.is_main_domain () then t.stack <- name :: t.stack;
             maybe_emit t));
     on_span_end =
       (fun ~id:_ ~name ~ts_ns:_ ~dur_ns ~attrs:_ ->
         locked (fun () ->
-            (match t.stack with [] -> () | _ :: rest -> t.stack <- rest);
+            (if Domain.is_main_domain () then
+               match t.stack with [] -> () | _ :: rest -> t.stack <- rest);
+            if name = "shard-classify" then t.done_shards <- t.done_shards + 1;
             note_hist t name dur_ns;
             maybe_emit t));
     on_counter =
@@ -160,12 +153,15 @@ let register t =
 let unregister t =
   locked (fun () -> actives := List.filter (fun x -> x != t) !actives)
 
+(* In the sequential front shard [index] runs after the [index]
+   before it, so that many are done. *)
 let note_shard ~index ~total =
   locked (fun () ->
       List.iter
         (fun t ->
           t.shard <- index;
           t.shards <- total;
+          t.done_shards <- index;
           maybe_emit t)
         !actives)
 
@@ -176,25 +172,6 @@ let note_front ~total ~jobs =
           t.shards <- total;
           t.jobs <- max 1 jobs;
           t.done_shards <- 0;
-          maybe_emit t)
-        !actives)
-
-let note_shard_start ~index ~total =
-  locked (fun () ->
-      List.iter
-        (fun t ->
-          t.shards <- total;
-          if index > t.shard then t.shard <- index;
-          maybe_emit t)
-        !actives)
-
-let note_shard_done ~total ~dur_ns =
-  locked (fun () ->
-      List.iter
-        (fun t ->
-          t.shards <- total;
-          t.done_shards <- t.done_shards + 1;
-          Histogram.observe t.shard_hist (Int64.to_float dur_ns);
           maybe_emit t)
         !actives)
 

@@ -5,29 +5,28 @@
 
     {v progress: 2.1s stage=shard-classify shard 3/8 events=512 eta=1.4s v}
 
-    — carrying the innermost open span (the current stage), shard
-    progress when the staged pipeline has announced it
-    ({!note_shard}), the events-processed counter, and an ETA
-    interpolated from the running histogram of completed shard-stage
-    spans (median per-shard cost times remaining shards).  Emission is
-    bounded: at most one line per [min_interval_ns] (default 200 ms),
-    no matter how many events arrive.
+    — carrying the main domain's innermost open span (the current
+    stage), shard progress when the staged pipeline has announced it
+    ({!note_shard}, {!note_front}), the events-processed counter, and
+    an ETA: the median per-shard cost ([shard-collect] plus
+    [shard-classify] spans) times the shards not yet finished, divided
+    by the announced concurrency.  Emission is bounded: at most one
+    line per [min_interval_ns] (default 200 ms), no matter how many
+    events arrive.
 
     Like every sink, the progress path costs nothing when not
     installed; installed, it only reads the event stream and writes
     lines through [out], so pipeline outputs are bit-identical with
-    and without it (pinned by test).  {!note_shard},
-    {!note_shard_start} and {!note_shard_done} are the out-of-band
-    taps: no-ops unless a progress sink is installed, so the staged
-    pipeline can announce shard boundaries without polluting recorded
-    gauges (and therefore manifests).
+    and without it (pinned by test).  {!note_shard} and {!note_front}
+    are the out-of-band taps: no-ops unless a progress sink is
+    installed, so the staged pipeline can announce shard boundaries
+    without polluting recorded gauges (and therefore manifests).
 
-    Thread safety: all taps and sink callbacks are serialized behind
-    one internal mutex, so they may be called from worker domains (the
-    parallel shard front calls {!note_shard_start}/{!note_shard_done}
-    from inside tasks).  Under [--jobs N] the ETA divides the median
-    per-shard duration by the announced concurrency instead of
-    assuming serial completion. *)
+    Worker-domain spans reach the sink as they happen: each
+    [shard-classify] span end counts one finished shard, whichever
+    domain ran it, while only the main domain's spans move the stage
+    field.  All taps and sink callbacks are serialized behind one
+    internal mutex. *)
 
 type t
 
@@ -52,20 +51,13 @@ val active : unit -> bool
     staged pipeline's shard taps check. *)
 
 val note_shard : index:int -> total:int -> unit
-(** Announce that shard [index] (0-based) of [total] is about to run.
-    No-op when {!active} is false. *)
+(** Announce that shard [index] (0-based) of [total] is about to run
+    in the sequential front (so [index] shards are done).  No-op when
+    {!active} is false. *)
 
 val note_front : total:int -> jobs:int -> unit
 (** Announce the start of a sharded front: [total] shards to run with
     [jobs]-way concurrency.  Resets the done count. *)
-
-val note_shard_start : index:int -> total:int -> unit
-(** A shard began executing (worker-domain safe). *)
-
-val note_shard_done : total:int -> dur_ns:int64 -> unit
-(** A shard finished after [dur_ns] (worker-domain safe); feeds the
-    completion count and the per-shard duration histogram the
-    concurrent ETA is computed from. *)
 
 val lines : t -> int
 (** Heartbeats emitted so far (for the rate-bound tests). *)

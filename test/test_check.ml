@@ -276,6 +276,15 @@ let test_param_jobs () =
   let ds = Check.Param_check.check_jobs ~shards:2 8 in
   expect_rule ds "param/unknown-jobs" D.Warn;
   Alcotest.(check (list string)) "no errors" [] (error_ids ds);
+  (* The surplus domains still run dcache activity generation, so the
+     text claims only what holds for every category. *)
+  Alcotest.(check (list string))
+    "warning text"
+    [
+      "jobs = 8 exceeds the 2 shard(s) of the front: the extra domains get \
+       no shard to collect or classify";
+    ]
+    (List.map (fun (d : D.t) -> d.D.message) ds);
   Alcotest.(check (list string))
     "jobs <= shards is clean" []
     (ids (Check.Param_check.check_jobs ~shards:4 4));

@@ -145,6 +145,59 @@ let test_counter_accumulation () =
   Obs.reset_counters ();
   Alcotest.(check (float 0.0)) "reset zeroes" 0.0 (Obs.counter "a")
 
+(* Readings and noise draws are counted once per sweep, not once per
+   reading; the totals must stay what per-reading counting gave.  The
+   values were read from a build that counted every reading.  Full-range
+   [dataset_range] builds bypass the default-reps memo, so every build
+   here measures afresh. *)
+let hwsim_totals build =
+  Obs.clear ();
+  Obs.install Obs.Sink.null;
+  ignore (build ());
+  let totals =
+    List.map Obs.counter
+      [ "hwsim.readings"; "hwsim.noise_draws"; "hwsim.kernel_runs" ]
+  in
+  let mux = Obs.counter "multiplex.measurements" in
+  Obs.clear ();
+  (totals, mux)
+
+let test_hwsim_totals_pinned () =
+  with_obs_cleared @@ fun () ->
+  let module C = Core.Category in
+  List.iter
+    (fun (category, expected) ->
+      let totals, _ =
+        hwsim_totals (fun () ->
+            C.dataset_range ~lo:0 ~hi:(C.catalog_size category) category)
+      in
+      Alcotest.(check (list (float 0.0)))
+        (C.name category ^ " readings, draws, kernel runs")
+        expected totals)
+    [
+      (C.Cpu_flops, [ 94080.; 80160.; 94080. ]);
+      (C.Gpu_flops, [ 280800.; 276975.; 280800. ]);
+      (C.Branch, [ 21560.; 18370.; 21560. ]);
+      (C.Dcache, [ 250880.; 213760.; 0. ]);
+    ];
+  (* Multiplex draws noise through [Noise_model.apply] without a
+     [Machine.measure]: draws are counted, readings are not. *)
+  let totals, mux =
+    hwsim_totals (fun () ->
+        Cat_bench.Multiplex.branch_dataset Cat_bench.Multiplex.default_config)
+  in
+  Alcotest.(check (list (float 0.0)))
+    "multiplex readings, draws, kernel runs" [ 0.; 18370.; 0. ] totals;
+  Alcotest.(check (float 0.0)) "multiplex measurements" 21560. mux;
+  (* Metric validation sweeps each combination's events once per app. *)
+  let r = Core.Pipeline.run C.Cpu_flops in
+  let apps = Cat_bench.App_workloads.all () in
+  let totals, _ =
+    hwsim_totals (fun () -> Core.Validate.validate_cpu_flops_metrics r apps)
+  in
+  Alcotest.(check (list (float 0.0)))
+    "validate readings, draws, kernel runs" [ 144.; 0.; 0. ] totals
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace JSON                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -454,7 +507,11 @@ let () =
             test_disabled_is_passthrough;
         ] );
       ( "counters",
-        [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ] );
+        [
+          Alcotest.test_case "accumulation" `Quick test_counter_accumulation;
+          Alcotest.test_case "hwsim totals pinned" `Quick
+            test_hwsim_totals_pinned;
+        ] );
       ( "chrome-trace",
         [
           Alcotest.test_case "well-formed JSON" `Quick

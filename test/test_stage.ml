@@ -347,20 +347,17 @@ let test_parallel_prewarm_matches_seq () =
   let seq = build E.Seq and par = build (E.Domains 2) in
   Alcotest.(check bool) "same readings" true (values seq = values par)
 
-(* Worker-domain Obs capture: counters accumulated inside captured
-   tasks replay to the same totals the sequential order produces. *)
-let test_executor_capture_counters () =
+(* Worker domains call the collector directly: counters added on any
+   domain accumulate into the same totals the sequential order gives. *)
+let test_executor_worker_counters () =
   with_clean_state @@ fun () ->
   Obs.install Obs.Sink.null;
-  let caps =
-    E.map ~executor:(E.Domains 3) 12 (fun i ->
-        Obs.with_capture (fun () ->
-            Obs.add "cap.test" (float_of_int i);
-            Obs.span "cap-span" (fun () -> Obs.incr "cap.spans")))
-  in
-  Array.iter (fun ((), cap) -> Option.iter Obs.replay cap) caps;
-  Alcotest.(check (float 0.0)) "counter total" 66.0 (Obs.counter "cap.test");
-  Alcotest.(check (float 0.0)) "span counter" 12.0 (Obs.counter "cap.spans")
+  ignore
+    (E.map ~executor:(E.Domains 3) 12 (fun i ->
+         Obs.add "worker.test" (float_of_int i);
+         Obs.span "worker-span" (fun () -> Obs.incr "worker.spans")));
+  Alcotest.(check (float 0.0)) "counter total" 66.0 (Obs.counter "worker.test");
+  Alcotest.(check (float 0.0)) "span counter" 12.0 (Obs.counter "worker.spans")
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent runs                                                     *)
@@ -392,6 +389,52 @@ let test_concurrent_runs () =
              Float.equal a.variability b.variability)
            seq.classified concurrent.(i).classified))
     sequential
+
+(* The same pair on two domains with an [Obs.Summary] sink installed:
+   both domains open spans and add counters at once.  Results stay
+   bit-identical to sequential runs, and every counter total is the
+   sum of the two sequential runs' totals.  Three repetitions bypass
+   the default-reps dataset memo, so each run collects its own
+   readings and the [hwsim.*] counters are live on both domains. *)
+let test_concurrent_runs_with_sink () =
+  with_clean_state @@ fun () ->
+  let pair = [| Core.Category.Branch; Core.Category.Cpu_flops |] in
+  let run c =
+    Core.Pipeline.run ~run:recording
+      ~config:{ (Stage.default_config c) with Stage.reps = 3 }
+      c
+  in
+  let summary = Obs.Summary.create () in
+  Obs.install (Obs.Summary.sink summary);
+  let sequential = Array.map run pair in
+  let seq_totals = Obs.counters () in
+  Obs.reset_counters ();
+  Obs.Summary.reset summary;
+  let concurrent =
+    E.map ~executor:(E.Domains 2) (Array.length pair) (fun i -> run pair.(i))
+  in
+  Array.iteri
+    (fun i (seq : Core.Pipeline.result) ->
+      let msg = Core.Category.name pair.(i) ^ " concurrent with sink" in
+      check_equivalent ~msg seq concurrent.(i);
+      Alcotest.(check bool)
+        (msg ^ ": variabilities bit-identical") true
+        (List.equal
+           (fun (a : Core.Noise_filter.classified)
+                (b : Core.Noise_filter.classified) ->
+             Float.equal a.variability b.variability)
+           seq.classified concurrent.(i).classified))
+    sequential;
+  Alcotest.(check bool) "readings were counted" true
+    (List.mem_assoc "hwsim.readings" seq_totals);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "collector totals = sequential sum" seq_totals (Obs.counters ());
+  List.iter
+    (fun (name, total) ->
+      Alcotest.(check (float 0.0))
+        ("summary total " ^ name) total
+        (Obs.Summary.counter_total summary name))
+    seq_totals
 
 (* ------------------------------------------------------------------ *)
 (* The jobs sweep: executor equivalence                               *)
@@ -482,8 +525,8 @@ let () =
         [
           test_case "pool map/exceptions" `Quick
             test_executor_unit;
-          test_case "worker capture replays counters" `Quick
-            test_executor_capture_counters;
+          test_case "worker counters accumulate" `Quick
+            test_executor_worker_counters;
           test_case "parallel dcache prewarm = seq" `Quick
             test_parallel_prewarm_matches_seq;
         ] );
@@ -491,6 +534,8 @@ let () =
         [
           test_case "two categories on two domains" `Quick
             test_concurrent_runs;
+          test_case "two categories on two domains with a sink" `Quick
+            test_concurrent_runs_with_sink;
         ] );
       ( "jobs-sweep",
         List.map

@@ -492,6 +492,32 @@ let test_progress_line_shape () =
   (* The tap is a no-op when nothing is registered. *)
   Obs.Progress.note_shard ~index:0 ~total:4
 
+(* Worker-domain spans reach the progress sink as they happen: every
+   [shard-classify] end counts one finished shard, whichever domain
+   ran it. *)
+let test_progress_counts_worker_shards () =
+  with_clean_state @@ fun () ->
+  let lines = ref [] in
+  let p =
+    Obs.Progress.create ~out:(fun l -> lines := l :: !lines)
+      ~min_interval_ns:0L ()
+  in
+  Obs.with_progress p (fun () ->
+      Obs.Progress.note_front ~total:4 ~jobs:2;
+      ignore
+        (Core.Exec.map ~executor:(Core.Exec.Domains 2) 4 (fun _ ->
+             Obs.span "shard-collect" (fun () -> ());
+             Obs.span "shard-classify" (fun () -> ()))));
+  let has sub l =
+    let n = String.length l and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub l i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "all four shards counted" true
+    (List.exists (has "shards 4/4 done jobs=2") !lines);
+  Alcotest.(check bool) "no count past the total" false
+    (List.exists (has "shards 5/4") !lines)
+
 let () =
   let open Alcotest in
   run "store_trend"
@@ -525,5 +551,7 @@ let () =
             test_progress_inert;
           test_case "rate bound" `Quick test_progress_rate_bound;
           test_case "line shape" `Quick test_progress_line_shape;
+          test_case "worker shards counted" `Quick
+            test_progress_counts_worker_shards;
         ] );
     ]
