@@ -50,7 +50,10 @@ lint-smoke:
 # uncaught exception; --preflight, which lints the simulated catalog,
 # is rejected with --csv (exit 2); an overridden parameter that breaks
 # a param/* lint rule (--reps 0, --alpha nan) exits 1 with the
-# diagnostic instead of crashing or running to a meaningless result.
+# diagnostic instead of crashing or running to a meaningless result;
+# a CSV that repeats an (event, rep) line, a CSV whose events are all
+# zero and a --projection-tol that accepts nothing each exit 1 with a
+# one-line message.
 csv-smoke:
 	dune exec bin/dataset_dump.exe -- cpu-flops > /tmp/csv_smoke_means.csv
 	dune exec bin/analyze.exe -- -c cpu-flops \
@@ -62,6 +65,16 @@ csv-smoke:
 	dune exec bin/analyze.exe -- shard branch --reps 0 \
 	  -o /tmp/csv_smoke_shard.json; test $$? -eq 1
 	dune exec bin/analyze.exe -- -c cpu-flops --alpha nan; test $$? -eq 1
+	dune exec bin/dataset_dump.exe -- --full branch > /tmp/csv_smoke_full.csv
+	(cat /tmp/csv_smoke_full.csv; \
+	  grep -m1 '^BR_MISP_RETIRED:COND,0,' /tmp/csv_smoke_full.csv) \
+	  > /tmp/csv_smoke_dup.csv
+	dune exec bin/analyze.exe -- -c branch \
+	  --csv /tmp/csv_smoke_dup.csv; test $$? -eq 1
+	head -21 /tmp/csv_smoke_full.csv > /tmp/csv_smoke_zero.csv
+	dune exec bin/analyze.exe -- -c branch \
+	  --csv /tmp/csv_smoke_zero.csv; test $$? -eq 1
+	dune exec bin/analyze.exe -- -c branch --projection-tol 1e-300; test $$? -eq 1
 
 # Sharded execution must be byte-identical to the monolithic run —
 # both in-process (--shards) and through serialized shard artifacts

@@ -177,9 +177,9 @@ let extension_tests =
 (* ------------------------------------------------------------------ *)
 
 let print_stage_stats () =
-  let summary = Obs.Summary.create () in
-  let summary_sink = Obs.Summary.sink summary in
-  Obs.install summary_sink;
+  let recorder = Obs.Recorder.create () in
+  let recorder_sink = Obs.Recorder.sink recorder in
+  Obs.install recorder_sink;
   List.iter
     (fun category ->
       Printf.printf "\ncounter deltas per stage (%s):\n"
@@ -197,14 +197,14 @@ let print_stage_stats () =
         (stage_fns category))
     Core.Category.all;
   Printf.printf "\nspan timings (one fresh pipeline run per category):\n";
-  Obs.Summary.reset summary;
+  Obs.Recorder.reset recorder;
   Obs.reset_counters ();
   List.iter (fun c -> ignore (Core.Pipeline.run c)) Core.Category.all;
-  print_string (Obs.Summary.render summary);
-  (* Leave no summary sink behind: the Bechamel timings below must run
+  print_string (Obs.Recorder.render recorder);
+  (* Leave no recorder sink behind: the Bechamel timings below must run
      without it (and, unless --manifest keeps a recorder, on the
      zero-overhead disabled path). *)
-  Obs.uninstall summary_sink;
+  Obs.uninstall recorder_sink;
   Obs.reset_counters ()
 
 (* ------------------------------------------------------------------ *)

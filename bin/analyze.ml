@@ -87,7 +87,7 @@ let obs_term =
     const (fun trace stats progress -> (trace, stats, progress))
     $ trace_file $ stats_flag $ progress_flag)
 
-(* [f] receives the Summary sink (when --stats) so it can reset and
+(* [f] receives the Recorder sink (when --stats) so it can reset and
    render per phase; with [render_stats] (the default) the accumulated
    table is printed once after [f] instead. *)
 let with_obs ?(render_stats = true) (trace, stats, progress) f =
@@ -99,23 +99,23 @@ let with_obs ?(render_stats = true) (trace, stats, progress) f =
         c)
       trace
   in
-  let summary =
+  let recorder =
     if stats then begin
-      let s = Obs.Summary.create () in
-      Obs.install (Obs.Summary.sink s);
+      let s = Obs.Recorder.create () in
+      Obs.install (Obs.Recorder.sink s);
       Some s
     end
     else None
   in
-  let run () = f ~summary in
+  let run () = f ~recorder in
   let result =
     if progress then Obs.with_progress (Obs.Progress.create ()) run
     else run ()
   in
   if render_stats then
     Option.iter
-      (fun s -> Printf.printf "Stage stats:\n%s" (Obs.Summary.render s))
-      summary;
+      (fun s -> Printf.printf "Stage stats:\n%s" (Obs.Recorder.render s))
+      recorder;
   (match (trace, chrome) with
   | Some path, Some c -> (
     try
@@ -126,6 +126,12 @@ let with_obs ?(render_stats = true) (trace, stats, progress) f =
       exit 1)
   | _ -> ());
   result
+
+let no_accepted_message (f : Core.Stage.fates) =
+  Printf.sprintf
+    "no event accepted by the projection (%d events: %d all-zero, %d too \
+     noisy, %d kept)"
+    f.events f.all_zero f.too_noisy f.kept
 
 let shards_flag =
   let doc = "Split data collection and noise filtering into $(docv) \
@@ -217,7 +223,7 @@ let print_sections ~sections category (r : Core.Pipeline.result) =
   if wants "fig3" && category = Core.Category.Dcache then
     print_string (Core.Report.fig3_text r)
 
-let run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
+let run_category ?csv ?auto_tau ?recorder ~run ~shards ~tau ~alpha ~proj_tol
     ~reps ~sections category =
   let tau =
     match auto_tau with
@@ -238,9 +244,9 @@ let run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
      filter summary exactly (auto-tau probing above is excluded). *)
   Option.iter
     (fun s ->
-      Obs.Summary.reset s;
+      Obs.Recorder.reset s;
       Obs.reset_counters ())
-    summary;
+    recorder;
   let r =
     match csv with
     | None -> Core.Pipeline.run ~run ~config ~shards category
@@ -262,8 +268,8 @@ let run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
   Option.iter
     (fun s ->
       Printf.printf "Stage stats for %s:\n%s" (Core.Category.name category)
-        (Obs.Summary.render s))
-    summary;
+        (Obs.Recorder.render s))
+    recorder;
   print_newline ()
 
 let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
@@ -302,26 +308,30 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
       record_ledger = false;
     }
   in
-  with_obs ~render_stats:false obs (fun ~summary ->
+  with_obs ~render_stats:false obs (fun ~recorder ->
       try
         match (csv, category) with
         | Some _, None ->
           prerr_endline "analyze: --csv requires --category";
           exit 2
         | Some _, Some c ->
-          run_category ?csv ?auto_tau ?summary ~run ~shards ~tau ~alpha
+          run_category ?csv ?auto_tau ?recorder ~run ~shards ~tau ~alpha
             ~proj_tol ~reps ~sections c
         | None, Some c ->
-          run_category ?auto_tau ?summary ~run ~shards ~tau ~alpha ~proj_tol
+          run_category ?auto_tau ?recorder ~run ~shards ~tau ~alpha ~proj_tol
             ~reps ~sections c
         | None, None ->
           List.iter
-            (run_category ?auto_tau ?summary ~run ~shards ~tau ~alpha
+            (run_category ?auto_tau ?recorder ~run ~shards ~tau ~alpha
                ~proj_tol ~reps ~sections)
             Core.Category.all
-      with Core.Stage.Preflight_failed ds ->
+      with
+      | Core.Stage.Preflight_failed ds ->
         prerr_endline "analyze: pre-flight gate failed:";
         List.iter (fun d -> prerr_endline ("  " ^ Core.Diagnostic.render d)) ds;
+        exit 1
+      | Core.Stage.No_accepted_events f ->
+        prerr_endline ("analyze: " ^ no_accepted_message f);
         exit 1)
 
 (* ------------------------------------------------------------------ *)
@@ -425,7 +435,7 @@ let smoke_category ?(shards = 1) category =
 
 let explain_main category event all fate json smoke shards jobs obs =
   set_jobs ~shards jobs;
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun ~recorder:_ ->
   let module L = Provenance.Ledger in
   if smoke then begin
     let categories =
@@ -528,7 +538,7 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 
 let shard_main category index shards out tau alpha proj_tol reps obs =
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun ~recorder:_ ->
   let category =
     match category with
     | Some c -> c
@@ -606,7 +616,7 @@ let shard_cmd =
       $ proj_tol $ reps $ obs_term)
 
 let merge_main files sections json manifest store obs =
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun ~recorder:_ ->
   let sections = String.split_on_char ',' sections |> List.map String.trim in
   if files = [] then begin
     prerr_endline "analyze merge: give the shard artifact FILEs to merge";
@@ -650,9 +660,12 @@ let merge_main files sections json manifest store obs =
         exit 1)
   in
   let r =
-    try Core.Stage.run_merged ~run ~category shards
-    with Invalid_argument msg ->
+    try Core.Stage.run_merged ~run ~category shards with
+    | Invalid_argument msg ->
       Printf.eprintf "analyze merge: %s\n" msg;
+      exit 1
+    | Core.Stage.No_accepted_events f ->
+      Printf.eprintf "analyze merge: %s\n" (no_accepted_message f);
       exit 1
   in
   print_sections ~sections category r;
@@ -711,7 +724,7 @@ let severity_conv =
         Format.pp_print_string ppf (Core.Diagnostic.severity_name s) )
 
 let lint_main category severity json rules_flag quiet obs =
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun ~recorder:_ ->
   if rules_flag then print_string (Check.rules_table ())
   else begin
     let diagnostics =
@@ -1126,7 +1139,7 @@ let trend_cmd =
 (* trace: flamegraph (folded stacks) and Chrome-trace export           *)
 (* ------------------------------------------------------------------ *)
 
-let trace_main category shards folded flamegraph obs =
+let trace_main category shards folded obs =
   let category =
     match category with
     | Some c -> c
@@ -1138,23 +1151,14 @@ let trace_main category shards folded flamegraph obs =
     prerr_endline "analyze trace: --shards must be at least 1";
     exit 2
   end;
-  let folded_path =
-    match (folded, flamegraph) with
-    | Some _, Some _ ->
-      prerr_endline
-        "analyze trace: --flamegraph is an alias of --folded; give one";
-      exit 2
-    | Some f, None | None, Some f -> Some f
-    | None, None -> None
-  in
   let trace_path, _, _ = obs in
-  if folded_path = None && trace_path = None then begin
+  if folded = None && trace_path = None then begin
     prerr_endline "analyze trace: give --folded FILE and/or --trace FILE";
     exit 2
   end;
-  with_obs obs @@ fun ~summary:_ ->
+  with_obs obs @@ fun ~recorder:_ ->
   let run () = ignore (Core.Pipeline.run ~shards category) in
-  match folded_path with
+  match folded with
   | None -> run ()
   | Some path ->
     let f = Obs.Folded.create () in
@@ -1194,16 +1198,10 @@ let trace_cmd =
                $(docv)." in
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE" ~doc)
   in
-  let flamegraph =
-    let doc = "Alias of $(b,--folded)." in
-    Arg.(
-      value & opt (some string) None & info [ "flamegraph" ] ~docv:"FILE" ~doc)
-  in
   Cmd.v
     (Cmd.info "trace" ~doc ~man)
     Term.(
-      const trace_main $ category $ shards_flag $ folded $ flamegraph
-      $ obs_term)
+      const trace_main $ category $ shards_flag $ folded $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* store: inspect and feed the run store directly                      *)

@@ -12,119 +12,71 @@ type t = {
 
 let default_reps = 5
 
-let slice_events ~ctx ~lo ~hi events =
-  let n = List.length events in
-  if lo < 0 || hi < lo || hi > n then
-    invalid_arg
-      (Printf.sprintf "%s: bad event range [%d,%d) of a %d-event catalog" ctx
-         lo hi n);
-  List.filteri (fun i _ -> i >= lo && i < hi) events
+type bench = Cpu_flops | Branch | Gpu_flops | Zen_flops | Dcache
 
-let range_name base ~lo ~hi = Printf.sprintf "%s[%d,%d)" base lo hi
+let base_name = function
+  | Cpu_flops -> "cpu-flops"
+  | Branch -> "branch"
+  | Gpu_flops -> "gpu-flops"
+  | Zen_flops -> "zen-flops"
+  | Dcache -> "dcache"
 
-(* One reading is derived from (seed, event name, repetition, row) —
-   see Hwsim.Machine — so measuring only the events in [lo, hi) yields
-   bit-identical vectors to the whole-catalog build: the shard is a
-   restriction, never a re-randomization. *)
-let of_activities_range ~name ~seed ~reps ~events ~lo ~hi ~rows ~row_labels =
-  if Array.length rows <> Array.length row_labels then
-    invalid_arg "Dataset.of_activities_range: rows/labels mismatch";
+let events = function
+  | Cpu_flops | Branch | Dcache -> Hwsim.Catalog_sapphire_rapids.events
+  | Gpu_flops -> Hwsim.Catalog_mi250x.events
+  | Zen_flops -> Hwsim.Catalog_zen.events
+
+let row_labels = function
+  | Cpu_flops | Zen_flops -> Flops_kernels.row_labels
+  | Branch -> Branch_kernels.row_labels
+  | Gpu_flops -> Gpu_kernels.row_labels
+  | Dcache -> Cache_kernels.row_labels
+
+(* The one builder.  A reading is derived from (seed, event name,
+   repetition, row) — see Hwsim.Machine — so measuring only the events
+   in [lo, hi) yields bit-identical vectors to the whole-catalog
+   build: a range is a restriction, never a re-randomization.
+   [sweep ()] runs inside the span (it may fill the dcache activity
+   cache) and returns the per-event measurement. *)
+let build ?(lo = 0) ?hi ~name ~events ~row_labels ~reps sweep =
   let total = List.length events in
-  let events = slice_events ~ctx:"Dataset.of_activities_range" ~lo ~hi events in
-  Obs.span "dataset-build" (fun () ->
-      Obs.attr_str "dataset" name;
-      Obs.attr_int "reps" reps;
-      if lo <> 0 || hi <> total then begin
-        Obs.attr_int "lo" lo;
-        Obs.attr_int "hi" hi
-      end;
-      let measurements =
-        List.map
-          (fun event ->
-            if Obs.enabled () then begin
-              Obs.incr "dataset.events_measured";
-              Obs.add "dataset.repetitions" (float_of_int reps)
-            end;
-            { event; reps = Hwsim.Machine.measure_repetitions ~seed ~reps event rows })
-          events
-      in
-      { name; row_labels; reps; measurements })
+  let hi = Option.value hi ~default:total in
+  if lo < 0 || hi < lo || hi > total then
+    invalid_arg
+      (Printf.sprintf "Dataset: bad event range [%d,%d) of a %d-event catalog"
+         lo hi total);
+  let events = List.filteri (fun i _ -> i >= lo && i < hi) events in
+  let full = lo = 0 && hi = total in
+  let name = if full then name else Printf.sprintf "%s[%d,%d)" name lo hi in
+  Obs.span "dataset-build" @@ fun () ->
+  Obs.attr_str "dataset" name;
+  Obs.attr_int "reps" reps;
+  if not full then begin
+    Obs.attr_int "lo" lo;
+    Obs.attr_int "hi" hi
+  end;
+  let measure = sweep () in
+  let measurements =
+    List.map
+      (fun event ->
+        if Obs.enabled () then begin
+          Obs.incr "dataset.events_measured";
+          Obs.add "dataset.repetitions" (float_of_int reps)
+        end;
+        { event; reps = measure event })
+      events
+  in
+  { name; row_labels; reps; measurements }
 
-(* Compatibility wrapper: the whole catalog is the full range. *)
 let of_activities ~name ~seed ~reps ~events ~rows ~row_labels =
-  of_activities_range ~name ~seed ~reps ~events ~lo:0
-    ~hi:(List.length events) ~rows ~row_labels
-
-let memo f =
-  (* Datasets at default repetitions are deterministic: build once. *)
-  let cache = ref None in
-  fun ?(reps = default_reps) () ->
-    if reps = default_reps then begin
-      match !cache with
-      | Some d -> d
-      | None ->
-        let d = f ~reps in
-        cache := Some d;
-        d
-    end
-    else f ~reps
-
-let cpu_flops =
-  memo (fun ~reps ->
-      of_activities ~name:"cpu-flops" ~seed:"cat-cpu-flops" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Flops_kernels.rows
-        ~row_labels:Flops_kernels.row_labels)
-
-let branch =
-  memo (fun ~reps ->
-      of_activities ~name:"branch" ~seed:"cat-branch" ~reps
-        ~events:Hwsim.Catalog_sapphire_rapids.events ~rows:Branch_kernels.rows
-        ~row_labels:Branch_kernels.row_labels)
-
-let gpu_flops =
-  memo (fun ~reps ->
-      of_activities ~name:"gpu-flops" ~seed:"cat-gpu-flops" ~reps
-        ~events:Hwsim.Catalog_mi250x.events ~rows:Gpu_kernels.rows
-        ~row_labels:Gpu_kernels.row_labels)
-
-let zen_flops =
-  memo (fun ~reps ->
-      of_activities ~name:"zen-flops" ~seed:"cat-zen-flops" ~reps
-        ~events:Hwsim.Catalog_zen.events ~rows:Flops_kernels.rows
-        ~row_labels:Flops_kernels.row_labels)
-
-(* Range variants of the four catalog-wide builders: measure only the
-   events at catalog positions [lo, hi).  Same seeds, same rows — a
-   shard's vectors are bit-identical to the corresponding slice of the
-   whole-catalog dataset. *)
-
-let cpu_flops_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "cpu-flops" ~lo ~hi)
-    ~seed:"cat-cpu-flops" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events
-    ~lo ~hi ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
-
-let branch_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "branch" ~lo ~hi)
-    ~seed:"cat-branch" ~reps ~events:Hwsim.Catalog_sapphire_rapids.events ~lo
-    ~hi ~rows:Branch_kernels.rows ~row_labels:Branch_kernels.row_labels
-
-let gpu_flops_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "gpu-flops" ~lo ~hi)
-    ~seed:"cat-gpu-flops" ~reps ~events:Hwsim.Catalog_mi250x.events ~lo ~hi
-    ~rows:Gpu_kernels.rows ~row_labels:Gpu_kernels.row_labels
-
-let zen_flops_range ?(reps = default_reps) ~lo ~hi () =
-  of_activities_range
-    ~name:(range_name "zen-flops" ~lo ~hi)
-    ~seed:"cat-zen-flops" ~reps ~events:Hwsim.Catalog_zen.events ~lo ~hi
-    ~rows:Flops_kernels.rows ~row_labels:Flops_kernels.row_labels
+  if Array.length rows <> Array.length row_labels then
+    invalid_arg "Dataset.of_activities: rows/labels mismatch";
+  build ~name ~events ~row_labels ~reps (fun () event ->
+      Hwsim.Machine.measure_repetitions ~seed ~reps event rows)
 
 (* The thread activities are a function of (kernel config, rep,
    thread) only — independent of which events a build measures — so
-   shards of the same campaign can share one generation.
+   ranges of the same campaign can share one generation.
 
    The chases are independent, so [executor] runs them as
    [Executor.jobs executor] tasks.  Task [k] owns one simulator and
@@ -156,10 +108,10 @@ let generate_dcache_activities ~executor ~reps =
               let i = (((rep * nrows) + row) * threads) + thread in
               strides.(i mod jobs).(i / jobs))))
 
-(* Cached at the last repetition count (shard sweeps hit the same
+(* Cached at the last repetition count (range sweeps hit the same
    count N times in a row).  Only the calling domain fills the cache:
-   the parallel shard front prewarms it before dispatch, so shard
-   builders on worker domains only read it. *)
+   the parallel shard front prewarms it before dispatch, so range
+   builds on worker domains only read it. *)
 let dcache_activities =
   let cache = ref None in
   fun ?(executor = Executor.Seq) ~reps () ->
@@ -173,74 +125,67 @@ let dcache_activities =
 let prewarm_dcache ?executor ~reps () =
   ignore (dcache_activities ?executor ~reps ())
 
-let dcache_build ?(lo = 0) ?hi ~reduce ~reps () =
-  let total = List.length Hwsim.Catalog_sapphire_rapids.events in
-  let hi = Option.value hi ~default:total in
-  let events =
-    slice_events ~ctx:"Dataset.dcache_range" ~lo ~hi
-      Hwsim.Catalog_sapphire_rapids.events
-  in
-  let name =
-    if lo = 0 && hi = total then "dcache" else range_name "dcache" ~lo ~hi
-  in
-  Obs.span "dataset-build" @@ fun () ->
-  Obs.attr_str "dataset" name;
-  Obs.attr_int "reps" reps;
-  if lo <> 0 || hi <> total then begin
-    Obs.attr_int "lo" lo;
-    Obs.attr_int "hi" hi
-  end;
-  let configs = Array.of_list Cache_kernels.configs in
-  let nrows = Array.length configs in
+(* Each repetition's entry is the [reduce] of the 8 measuring threads'
+   readings of the same kernel row. *)
+let dcache_sweep ~reduce ~reps () =
+  let nrows = List.length Cache_kernels.configs in
   (* activities.(rep).(row).(thread) *)
   let activities = dcache_activities ~reps () in
   let thread_seeds =
     Array.init Cache_kernels.threads (Printf.sprintf "cat-dcache/thread=%d")
   in
-  let reduce_thread_readings readings =
-    match reduce with
-    | `Median -> Numkit.Stats.median readings
-    | `Mean -> Numkit.Stats.mean readings
-  in
-  let measure_rep event rep =
-    Array.init nrows (fun row ->
-        let per_thread =
-          Array.mapi
-            (fun thread activity ->
-              Hwsim.Machine.measure ~seed:thread_seeds.(thread) ~rep ~row
-                event activity)
-            activities.(rep).(row)
-        in
-        reduce_thread_readings per_thread)
-  in
-  let measurements =
-    List.map
-      (fun event ->
-        if Obs.enabled () then begin
-          Obs.incr "dataset.events_measured";
-          Obs.add "dataset.repetitions" (float_of_int reps);
-          Obs.add "dataset.thread_reductions"
-            (float_of_int (reps * nrows));
-          let readings = reps * nrows * Cache_kernels.threads in
-          Hwsim.Machine.count_readings ~readings
-            ~draws:(readings * Hwsim.Noise_model.draws event.Hwsim.Event.noise)
-        end;
-        { event; reps = List.init reps (fun rep -> measure_rep event rep) })
-      events
-  in
-  {
-    name;
-    row_labels = Cache_kernels.row_labels;
-    reps;
-    measurements;
-  }
+  let reduce = match reduce with `Median -> Numkit.Stats.median | `Mean -> Numkit.Stats.mean in
+  fun event ->
+    if Obs.enabled () then begin
+      Obs.add "dataset.thread_reductions" (float_of_int (reps * nrows));
+      let readings = reps * nrows * Cache_kernels.threads in
+      Hwsim.Machine.count_readings ~readings
+        ~draws:(readings * Hwsim.Noise_model.draws event.Hwsim.Event.noise)
+    end;
+    List.init reps (fun rep ->
+        Array.init nrows (fun row ->
+            reduce
+              (Array.mapi
+                 (fun thread activity ->
+                   Hwsim.Machine.measure ~seed:thread_seeds.(thread) ~rep ~row
+                     event activity)
+                 activities.(rep).(row))))
 
-let dcache = memo (fun ~reps -> dcache_build ~reduce:`Median ~reps ())
+let collect ?(reduce = `Median) ?lo ?hi ~reps bench =
+  let simple seed rows () event =
+    Hwsim.Machine.measure_repetitions ~seed ~reps event rows
+  in
+  build ~name:(base_name bench) ~events:(events bench)
+    ~row_labels:(row_labels bench) ~reps ?lo ?hi
+    (match bench with
+    | Cpu_flops -> simple "cat-cpu-flops" Flops_kernels.rows
+    | Branch -> simple "cat-branch" Branch_kernels.rows
+    | Gpu_flops -> simple "cat-gpu-flops" Gpu_kernels.rows
+    | Zen_flops -> simple "cat-zen-flops" Flops_kernels.rows
+    | Dcache -> dcache_sweep ~reduce ~reps)
 
-let dcache_range ?(reps = default_reps) ~lo ~hi () =
-  dcache_build ~lo ~hi ~reduce:`Median ~reps ()
+let range ?(reps = default_reps) ~lo ~hi bench = collect ~lo ~hi ~reps bench
 
-let dcache_reduced ?(reps = default_reps) reduce = dcache_build ~reduce ~reps ()
+(* Datasets at default repetitions are deterministic: build once.
+   One cell per benchmark, so builds of two benchmarks on two domains
+   never share mutable state. *)
+let memo bench =
+  let cell = ref None in
+  fun ?(reps = default_reps) () ->
+    match !cell with
+    | Some d when reps = default_reps -> d
+    | _ ->
+      let d = collect ~reps bench in
+      if reps = default_reps then cell := Some d;
+      d
+
+let cpu_flops = memo Cpu_flops
+let branch = memo Branch
+let gpu_flops = memo Gpu_flops
+let zen_flops = memo Zen_flops
+let dcache = memo Dcache
+
+let dcache_reduced ?(reps = default_reps) reduce = collect ~reduce ~reps Dcache
 
 let find t name =
   List.find (fun (m : measurement) -> m.event.Hwsim.Event.name = name) t.measurements
@@ -281,65 +226,89 @@ let reps_to_csv t =
     t.measurements;
   Buffer.contents buf
 
+type imported = {
+  mutable vectors : float array list;  (* newest first *)
+  mutable count : int;
+  mutable last_line : int;
+}
+
 let of_reps_csv ~name csv =
   let fail line msg = failwith (Printf.sprintf "Dataset.of_reps_csv: line %d: %s" line msg) in
-  let lines =
-    String.split_on_char '\n' csv
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+  (* Blank lines are skipped but still counted in line numbers. *)
+  let rec find_header lineno = function
+    | [] -> failwith "Dataset.of_reps_csv: empty input"
+    | l :: rest when String.trim l = "" -> find_header (lineno + 1) rest
+    | l :: rest -> (lineno, String.trim l, rest)
   in
-  match lines with
-  | [] -> failwith "Dataset.of_reps_csv: empty input"
-  | header :: data ->
-    let cols = String.split_on_char ',' header in
-    (match cols with
-     | "event" :: "rep" :: labels when labels <> [] ->
-       let row_labels = Array.of_list labels in
-       let n = Array.length row_labels in
-       (* Accumulate repetition vectors per event, preserving first-
-          appearance order. *)
-       let order = ref [] in
-       let table : (string, float array list ref) Hashtbl.t = Hashtbl.create 64 in
-       List.iteri
-         (fun i line ->
-           let lineno = i + 2 in
-           match String.split_on_char ',' line with
-           | event :: _rep :: values ->
-             if List.length values <> n then
-               fail lineno
-                 (Printf.sprintf "expected %d values, got %d" n
-                    (List.length values));
-             let v =
-               Array.of_list
-                 (List.map
-                    (fun s ->
-                      match float_of_string_opt (String.trim s) with
-                      | Some f -> f
-                      | None -> fail lineno ("bad number " ^ s))
-                    values)
-             in
-             (match Hashtbl.find_opt table event with
-              | Some cell -> cell := v :: !cell
+  let header_line, header, data = find_header 1 (String.split_on_char '\n' csv) in
+  match String.split_on_char ',' header with
+  | "event" :: "rep" :: labels when labels <> [] ->
+    let row_labels = Array.of_list labels in
+    let n = Array.length row_labels in
+    (* Accumulate repetition vectors per event, preserving first-
+       appearance order.  Each event's reps must read 0, 1, ... in
+       order: a duplicated, skipped or non-integer rep fails. *)
+    let order = ref [] in
+    let table : (string, imported) Hashtbl.t = Hashtbl.create 64 in
+    List.iteri
+      (fun i line ->
+        let lineno = header_line + 1 + i and line = String.trim line in
+        if line <> "" then
+          match String.split_on_char ',' line with
+          | event :: rep :: values ->
+            if List.length values <> n then
+              fail lineno
+                (Printf.sprintf "expected %d values, got %d" n
+                   (List.length values));
+            let v =
+              Array.of_list
+                (List.map
+                   (fun s ->
+                     match float_of_string_opt (String.trim s) with
+                     | Some f -> f
+                     | None -> fail lineno ("bad number " ^ s))
+                   values)
+            in
+            let e =
+              match Hashtbl.find_opt table event with
+              | Some e -> e
               | None ->
+                let e = { vectors = []; count = 0; last_line = lineno } in
                 order := event :: !order;
-                Hashtbl.add table event (ref [ v ]))
-           | _ -> fail lineno "expected event,rep,values...")
-         data;
-       let measurements =
-         List.rev_map
-           (fun event_name ->
-             let reps = List.rev !(Hashtbl.find table event_name) in
-             {
-               event = Hwsim.Event.make ~name:event_name ~desc:"imported" [];
-               reps;
-             })
-           !order
-       in
-       let reps =
-         match measurements with [] -> 0 | m :: _ -> List.length m.reps
-       in
-       { name; row_labels; reps; measurements }
-     | _ -> fail 1 "expected header event,rep,<row labels>")
+                Hashtbl.add table event e;
+                e
+            in
+            let rep = String.trim rep in
+            if not (String.for_all (fun c -> '0' <= c && c <= '9') rep
+                    && int_of_string_opt rep = Some e.count)
+            then
+              fail lineno
+                (Printf.sprintf "%s: repetition %S, expected %d" event rep e.count);
+            e.vectors <- v :: e.vectors;
+            e.count <- e.count + 1;
+            e.last_line <- lineno
+          | _ -> fail lineno "expected event,rep,values...")
+      data;
+    let order = List.rev !order in
+    let reps =
+      match order with [] -> 0 | first :: _ -> (Hashtbl.find table first).count
+    in
+    let measurements =
+      List.map
+        (fun event_name ->
+          let e = Hashtbl.find table event_name in
+          if e.count <> reps then
+            fail e.last_line
+              (Printf.sprintf "%s has %d repetitions, %s has %d" event_name
+                 e.count (List.hd order) reps);
+          {
+            event = Hwsim.Event.make ~name:event_name ~desc:"imported" [];
+            reps = List.rev e.vectors;
+          })
+        order
+    in
+    { name; row_labels; reps; measurements }
+  | _ -> fail header_line "expected header event,rep,<row labels>"
 
 let to_csv t =
   let buf = Buffer.create 4096 in

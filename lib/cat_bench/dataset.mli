@@ -4,7 +4,12 @@
     This is the hand-off point between the simulated hardware and the
     paper's analysis: a dataset is exactly what running a CAT
     benchmark under PAPI produces — one measurement vector per event
-    per repetition, nothing else. *)
+    per repetition, nothing else.
+
+    This module alone knows what each {!bench} measures (catalog,
+    kernel rows, seeds).  Every dataset below comes from one builder:
+    slice the catalog, open one [dataset-build] span, sweep each
+    event's repetitions. *)
 
 type measurement = {
   event : Hwsim.Event.t;
@@ -12,7 +17,7 @@ type measurement = {
 }
 
 type t = {
-  name : string;
+  name : string;  (** e.g. ["branch"], or ["branch[0,98)"] for a range. *)
   row_labels : string array;
   reps : int;
   measurements : measurement list;
@@ -21,74 +26,55 @@ type t = {
 val default_reps : int
 (** 5 repetitions, as a CAT campaign would use. *)
 
-val of_activities_range :
-  name:string -> seed:string -> reps:int -> events:Hwsim.Event.t list ->
-  lo:int -> hi:int -> rows:Hwsim.Activity.t array ->
-  row_labels:string array -> t
-(** Range-based collection, the primitive behind catalog sharding:
-    measure only the events at catalog positions [lo, hi) (0-based,
-    half-open) over every row, [reps] times, with noise streams
-    derived from [seed].  Because a reading's noise stream is keyed by
-    [(seed, event name, rep, row)], the shard's vectors are
-    bit-identical to the corresponding slice of the whole-catalog
-    dataset.  Raises [Invalid_argument] on an out-of-bounds range. *)
+type bench =
+  | Cpu_flops  (** Sapphire Rapids catalog, 48 CPU-FLOPs rows. *)
+  | Branch  (** Sapphire Rapids catalog, 11 branching rows. *)
+  | Gpu_flops  (** MI250X catalog, 45 GPU-FLOPs rows. *)
+  | Zen_flops  (** The CPU-FLOPs rows on the Zen-class catalog. *)
+  | Dcache
+      (** Sapphire Rapids catalog, 16 data-cache rows; each entry is the
+          {e median} of the 8 measuring threads (Section IV). *)
 
-val of_activities :
-  name:string -> seed:string -> reps:int -> events:Hwsim.Event.t list ->
-  rows:Hwsim.Activity.t array -> row_labels:string array -> t
-(** Whole-catalog collection: {!of_activities_range} over the full
-    range (kept as the compatibility entry point). *)
+val events : bench -> Hwsim.Event.t list
+(** The benchmark's event catalog, in catalog order. *)
+
+val row_labels : bench -> string array
+(** The benchmark's kernel-row labels, one per vector entry. *)
+
+val range : ?reps:int -> lo:int -> hi:int -> bench -> t
+(** Measure only the catalog events at positions [lo, hi) (0-based,
+    half-open).  The vectors are bit-identical to the same slice of the
+    whole-catalog dataset (same seeds, same rows, same shared dcache
+    activities).  Never memoized.  Raises [Invalid_argument] on an
+    out-of-bounds range. *)
+
+(** {2 Whole catalogs}, memoized at {!default_reps} with one cell per
+    benchmark; any other repetition count builds afresh. *)
 
 val cpu_flops : ?reps:int -> unit -> t
-(** CPU-FLOPs benchmark on the Sapphire Rapids catalog (48 rows). *)
-
 val branch : ?reps:int -> unit -> t
-(** Branching benchmark on the Sapphire Rapids catalog (11 rows). *)
-
 val gpu_flops : ?reps:int -> unit -> t
-(** GPU-FLOPs benchmark on the MI250X catalog (45 rows). *)
-
 val zen_flops : ?reps:int -> unit -> t
-(** The same CPU-FLOPs benchmark run on the simulated AMD Zen-class
-    machine ([Hwsim.Catalog_zen]) — input for the cross-architecture
-    portability demonstration. *)
-
 val dcache : ?reps:int -> unit -> t
-(** Data-cache benchmark on the Sapphire Rapids catalog (16 rows).
-    Each repetition's vector entry is the {e median} across the 8
-    measuring threads, the noise-suppression step of Section IV. *)
-
-(** {2 Shard collection}
-
-    One builder per benchmark, measuring only the catalog events at
-    positions [lo, hi).  These are what {!Core.Stage.collect_shard}
-    drives; each produces vectors bit-identical to the corresponding
-    slice of the whole-catalog dataset (same seeds, same rows). *)
-
-val cpu_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-val branch_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-val gpu_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-val zen_flops_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-
-val dcache_range : ?reps:int -> lo:int -> hi:int -> unit -> t
-(** Data-cache shard.  The per-thread kernel activities are shared
-    across shards of the same campaign (they depend only on kernel
-    config, repetition and thread), so sharding does not re-simulate
-    the benchmark differently. *)
-
-val prewarm_dcache : ?executor:Executor.t -> reps:int -> unit -> unit
-(** Force the shared activity cache from the calling domain, running
-    its independent chases on [executor] (default [Seq]) with one
-    reused simulator per task.  The activities are the same whatever
-    the executor.  The parallel shard front calls this before
-    dispatching dcache shards to worker domains, so the one
-    module-level cache in this library is only ever read concurrently,
-    never raced on. *)
 
 val dcache_reduced : ?reps:int -> [ `Median | `Mean ] -> t
 (** The data-cache benchmark with an explicit thread-reduction
     choice; [`Mean] is the ablation showing why the paper uses the
-    median. *)
+    median.  Not memoized. *)
+
+val prewarm_dcache : ?executor:Executor.t -> reps:int -> unit -> unit
+(** Fill the shared dcache activity cache from the calling domain,
+    running its chases on [executor] (default [Seq]); the activities
+    do not depend on it.  The parallel shard front calls this before
+    dispatch, so worker domains only ever read the cache. *)
+
+val of_activities :
+  name:string -> seed:string -> reps:int -> events:Hwsim.Event.t list ->
+  rows:Hwsim.Activity.t array -> row_labels:string array -> t
+(** The same builder over caller-supplied kernel rows (extension
+    benchmarks, predictor ablations), with noise streams derived from
+    [seed].  Raises [Invalid_argument] if [rows] and [row_labels]
+    differ in length. *)
 
 val find : t -> string -> measurement
 (** Lookup a measurement by event name; raises [Not_found]. *)
@@ -113,5 +99,6 @@ val of_reps_csv : name:string -> string -> t
     opaque named events (no semantics, [Exact] noise tag — the noise
     lives in the data itself), which is exactly what an import of
     {e real} CAT measurements looks like: the analysis only ever uses
-    names and numbers.  Raises [Failure] with a line number on
-    malformed input. *)
+    names and numbers.  Each event's reps must read 0, 1, ..., k-1, with
+    the same k for every event.  Raises [Failure] with a line number
+    on malformed input. *)

@@ -142,11 +142,8 @@ let rules_table () =
 (* Runners over the shipped categories and catalogs                    *)
 (* ------------------------------------------------------------------ *)
 
-let rows_declared = function
-  | Core.Category.Cpu_flops -> Array.length Cat_bench.Flops_kernels.rows
-  | Core.Category.Branch -> Array.length Cat_bench.Branch_kernels.rows
-  | Core.Category.Gpu_flops -> Array.length Cat_bench.Gpu_kernels.rows
-  | Core.Category.Dcache -> List.length Cat_bench.Cache_kernels.configs
+let rows_declared c =
+  Array.length (Cat_bench.Dataset.row_labels (Core.Category.bench c))
 
 let catalog_name = function
   | Core.Category.Cpu_flops | Core.Category.Branch | Core.Category.Dcache ->

@@ -168,7 +168,7 @@ let multiplex_sweep ?run ~counters () =
             ~signatures:(Category.signatures Category.Branch) ()
         with
         | r -> Pipeline.chosen_set r
-        | exception Invalid_argument _ -> []
+        | exception Stage.No_accepted_events _ -> []
       in
       {
         counters = n;

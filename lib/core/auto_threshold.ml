@@ -71,7 +71,7 @@ let select ?(max_attempts = 10) ~category ~min_rank () =
       let rank =
         match Pipeline.run ~config category with
         | r -> Array.length r.Pipeline.chosen_names
-        | exception Invalid_argument _ -> 0
+        | exception Stage.No_accepted_events _ -> 0
       in
       if rank >= min_rank then s else walk (attempts + 1) rest
   in

@@ -27,23 +27,23 @@ let projection_tol = function
   | Cpu_flops | Gpu_flops | Branch -> 0.02
   | Dcache -> 0.05
 
+let bench : t -> Cat_bench.Dataset.bench = function
+  | Cpu_flops -> Cpu_flops
+  | Gpu_flops -> Gpu_flops
+  | Branch -> Branch
+  | Dcache -> Dcache
+
 let dataset ?reps = function
   | Cpu_flops -> Cat_bench.Dataset.cpu_flops ?reps ()
   | Gpu_flops -> Cat_bench.Dataset.gpu_flops ?reps ()
   | Branch -> Cat_bench.Dataset.branch ?reps ()
   | Dcache -> Cat_bench.Dataset.dcache ?reps ()
 
-let events = function
-  | Cpu_flops | Branch | Dcache -> Hwsim.Catalog_sapphire_rapids.events
-  | Gpu_flops -> Hwsim.Catalog_mi250x.events
+let events c = Cat_bench.Dataset.events (bench c)
 
 let catalog_size c = List.length (events c)
 
-let dataset_range ?reps ~lo ~hi = function
-  | Cpu_flops -> Cat_bench.Dataset.cpu_flops_range ?reps ~lo ~hi ()
-  | Gpu_flops -> Cat_bench.Dataset.gpu_flops_range ?reps ~lo ~hi ()
-  | Branch -> Cat_bench.Dataset.branch_range ?reps ~lo ~hi ()
-  | Dcache -> Cat_bench.Dataset.dcache_range ?reps ~lo ~hi ()
+let dataset_range ?reps ~lo ~hi c = Cat_bench.Dataset.range ?reps ~lo ~hi (bench c)
 
 (* Force any module-level cache the shard builders share, from the
    calling domain, before shards are dispatched to workers. *)

@@ -28,20 +28,24 @@ val projection_tol : t -> float
     "too large" least-squares error are disregarded; 2% (5% for the
     noisy cache data) implements that. *)
 
+val bench : t -> Cat_bench.Dataset.bench
+(** The CAT benchmark the category analyzes: its catalog, kernel rows
+    and seeds all come from {!Cat_bench.Dataset}. *)
+
 val dataset : ?reps:int -> t -> Cat_bench.Dataset.t
+(** The memoized whole-catalog dataset of {!bench}. *)
 
 val events : t -> Hwsim.Event.t list
-(** The category's event catalog, in catalog order (the order every
-    dataset, ledger and shard range refers to). *)
+(** [Cat_bench.Dataset.events (bench t)]: the category's event
+    catalog, in catalog order. *)
 
 val catalog_size : t -> int
 (** [List.length (events t)] — the [total] that shard ranges cover. *)
 
 val dataset_range : ?reps:int -> lo:int -> hi:int -> t -> Cat_bench.Dataset.t
-(** The category's dataset restricted to catalog positions [lo, hi):
-    bit-identical to the corresponding slice of {!dataset} (same
-    seeds, same benchmark rows).  Raises [Invalid_argument] on an
-    out-of-bounds range. *)
+(** [Cat_bench.Dataset.range ?reps ~lo ~hi (bench t)]: bit-identical
+    to the corresponding slice of {!dataset}.  Raises
+    [Invalid_argument] on an out-of-bounds range. *)
 
 val prewarm : ?executor:Executor.t -> reps:int -> t -> unit
 (** Force any module-level cache the category's shard builders share

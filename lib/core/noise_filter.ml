@@ -42,45 +42,22 @@ let classify_measurement ~measure ~tau (m : Cat_bench.Dataset.measurement) =
     { event = m.event; variability; mean; status }
   end
 
-let publish_tallies classified =
-  if Obs.enabled () then begin
-    let tally status =
-      float_of_int
-        (List.length (List.filter (fun c -> c.status = status) classified))
-    in
-    Obs.add "noise_filter.kept" (tally Kept);
-    Obs.add "noise_filter.too_noisy" (tally Too_noisy);
-    Obs.add "noise_filter.all_zero" (tally All_zero)
-  end
+let kept classified = List.filter (fun c -> c.status = Kept) classified
+
+let count classified status =
+  List.length (List.filter (fun c -> c.status = status) classified)
 
 let classify ?(measure = Max_rnmse) ~tau (dataset : Cat_bench.Dataset.t) =
   let classified =
     List.map (classify_measurement ~measure ~tau) dataset.measurements
   in
-  publish_tallies classified;
-  classified
-
-(* Shard-local classification: same verdicts as [classify], plus the
-   per-shard counters that feed the sharding observability story
-   alongside the noise_filter.* totals, which sum across shards to the
-   monolithic values. *)
-let classify_shard ?(measure = Max_rnmse) ~tau (dataset : Cat_bench.Dataset.t) =
-  let classified =
-    List.map (classify_measurement ~measure ~tau) dataset.measurements
-  in
   if Obs.enabled () then begin
-    Obs.add "shard.events" (float_of_int (List.length classified));
-    Obs.add "shard.kept"
-      (float_of_int
-         (List.length (List.filter (fun c -> c.status = Kept) classified)))
+    let tally status = float_of_int (count classified status) in
+    Obs.add "noise_filter.kept" (tally Kept);
+    Obs.add "noise_filter.too_noisy" (tally Too_noisy);
+    Obs.add "noise_filter.all_zero" (tally All_zero)
   end;
-  publish_tallies classified;
   classified
-
-let kept classified = List.filter (fun c -> c.status = Kept) classified
-
-let count classified status =
-  List.length (List.filter (fun c -> c.status = status) classified)
 
 let variability_series classified =
   let plotted =

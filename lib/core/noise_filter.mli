@@ -3,7 +3,12 @@
     Every event's repetition vectors are reduced to a single
     variability number — the maximum pairwise RNMSE of Eq. 4 — and
     the event is kept, discarded as irrelevant (all readings zero) or
-    rejected as too noisy (variability above the threshold τ). *)
+    rejected as too noisy (variability above the threshold τ).
+
+    {!classify} serves a whole catalog and a catalog-range shard alike
+    (a verdict depends only on the event's own vectors); its
+    [noise_filter.*] tallies summed over shards are the whole-catalog
+    totals. *)
 
 type status = Kept | Too_noisy | All_zero
 
@@ -26,15 +31,6 @@ val classify :
   ?measure:measure -> tau:float -> Cat_bench.Dataset.t -> classified list
 (** Classify every measurement in the dataset.  [measure] defaults to
     {!Max_rnmse} (the paper's). *)
-
-val classify_shard :
-  ?measure:measure -> tau:float -> Cat_bench.Dataset.t -> classified list
-(** Classify one catalog-range shard.  Verdicts are identical to
-    {!classify} (each event's verdict depends only on its own
-    repetition vectors); the difference is the per-shard
-    [shard.events] / [shard.kept] counters next to the
-    [noise_filter.*] tallies, which sum across shards to the
-    monolithic totals. *)
 
 val measure_name : measure -> string
 

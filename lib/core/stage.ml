@@ -40,6 +40,10 @@ let default_config category =
 
 exception Preflight_failed of Diagnostic.t list
 
+type fates = { events : int; all_zero : int; too_noisy : int; kept : int }
+
+exception No_accepted_events of fates
+
 let preflight_check (run : Run.t) category =
   Option.map
     (fun lint ->
@@ -131,7 +135,13 @@ let classify_shard ~config ~category (ds : dataset_shard) =
           Obs.attr_int "lo" ds.shard_range.lo;
           Obs.attr_int "hi" ds.shard_range.hi
         end;
-        Noise_filter.classify_shard ~tau:config.tau ds.dataset)
+        let entries = Noise_filter.classify ~tau:config.tau ds.dataset in
+        if Obs.enabled () then begin
+          Obs.add "shard.events" (float_of_int (List.length entries));
+          Obs.add "shard.kept"
+            (float_of_int (Noise_filter.count entries Noise_filter.Kept))
+        end;
+        entries)
   in
   {
     category = Category.name category;
@@ -350,6 +360,17 @@ let downstream ?(record_ledger = false) ~config ~category ~basis ~signatures
           Projection.project ~tol:config.projection_tol basis
             (Noise_filter.kept classified)
         in
+        if Projection.accepted projected = [] then begin
+          let count = Noise_filter.count classified in
+          raise
+            (No_accepted_events
+               {
+                 events = List.length classified;
+                 all_zero = count Noise_filter.All_zero;
+                 too_noisy = count Noise_filter.Too_noisy;
+                 kept = count Noise_filter.Kept;
+               })
+        end;
         (projected, Projection.to_matrix projected))
   in
   let qr, steps, leftovers =
@@ -694,7 +715,7 @@ let run_merged ?(run = Run.default) ~category shards =
 (* DESIGN.md §11's counter contract, asserted at runtime whenever the
    collector is live: across one sharded front, the shard.events /
    shard.kept deltas must equal the catalog size and the
-   noise_filter.kept delta (publish_tallies runs per shard, so the
+   noise_filter.kept delta (Noise_filter.classify runs per shard, so the
    noise_filter.* deltas are themselves the monolithic totals). *)
 let check_shard_counter_invariant ~category ~before:(ev0, kp0, nf_kept0) =
   let d name v0 = Obs.counter name -. v0 in

@@ -67,6 +67,16 @@ type result = {
 
 exception Preflight_failed of Diagnostic.t list
 
+type fates = { events : int; all_zero : int; too_noisy : int; kept : int }
+(** Noise-filter fates of a catalog: [events] is the sum of the
+    other three. *)
+
+exception No_accepted_events of fates
+(** Raised by {!downstream} (so by every driver) when the projection
+    accepts no event: too few events were kept, or none of the kept
+    ones is representable within [projection_tol].  Carries the fates
+    so the caller can say which. *)
+
 val preflight_check : Run.t -> Category.t -> Obs.Manifest.lint_summary option
 (** Run the context's gate, raising {!Preflight_failed} if any
     diagnostic has error severity; otherwise return the severity
@@ -160,8 +170,11 @@ val collect_shard :
 
 val classify_shard :
   config:config -> category:Category.t -> dataset_shard -> classified_shard
-(** Run the noise filter on one shard; publishes [shard.events] /
-    [shard.kept] counters. *)
+(** Run {!Noise_filter.classify} on one shard, inside the
+    ["shard-classify"] span.  Besides the filter's [noise_filter.*]
+    tallies it publishes the per-shard [shard.events] / [shard.kept]
+    counters, whose sums over a sharded front are the catalog size and
+    the [noise_filter.kept] total. *)
 
 (** {1 Merge stage} *)
 
@@ -185,7 +198,8 @@ val downstream :
   ?record_ledger:bool -> config:config -> category:Category.t ->
   basis:Expectation.t -> signatures:Signature.t list ->
   classified:Noise_filter.classified list -> unit -> result
-(** Projection -> specialized QRCP -> metric definitions.  With
+(** Projection -> specialized QRCP -> metric definitions; raises
+    {!No_accepted_events} when the projection accepts nothing.  With
     [record_ledger] (default false) the provenance ledger is assembled
     from the same QRCP factorization ({!assemble_ledger}), stored in
     the result and published as [ledger.*] counters. *)

@@ -1,12 +1,9 @@
-(* The manifest-feeding sink: per-span-name timing aggregates with a
+(* The one aggregating sink: per-span-name timing aggregates with a
    fixed-bucket duration histogram and accumulated GC deltas, plus
    counter deltas and last-write-wins gauges — everything a run
-   manifest snapshots, in structured (not rendered) form.
-
-   Unlike [Summary] (a human-readable table), the recorder keeps the
-   full distribution of each span's durations and samples the GC
-   around every span, so per-stage allocation attributes to the stage
-   that allocated. *)
+   manifest snapshots, and what [analyze --stats] renders as a table.
+   The GC is sampled around every span, so per-stage allocation
+   attributes to the stage that allocated. *)
 
 type span_agg = {
   mutable count : int;
@@ -31,6 +28,13 @@ let create () =
     gauges = Hashtbl.create 8;
     open_gc = Hashtbl.create 16;
   }
+
+(* Open spans keep their start snapshots: a span that straddles a
+   reset still gets its own GC delta when it ends. *)
+let reset t =
+  Hashtbl.reset t.spans;
+  Hashtbl.reset t.counters;
+  Hashtbl.reset t.gauges
 
 let sink t =
   {
@@ -90,3 +94,34 @@ let counters t =
 let gauges t =
   Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges []
   |> List.sort compare
+
+let ms ns = ns /. 1e6
+
+let render t =
+  let buf = Buffer.create 1024 in
+  (* Total time descending; [spans] is name-sorted, which breaks ties. *)
+  let spans =
+    List.stable_sort (fun (_, a) (_, b) -> compare b.total_ns a.total_ns) (spans t)
+  in
+  if spans <> [] then begin
+    Printf.bprintf buf "%-28s %6s %10s %10s %10s %10s\n" "span" "count"
+      "total ms" "mean ms" "min ms" "max ms";
+    List.iter
+      (fun (name, a) ->
+        Printf.bprintf buf "%-28s %6d %10.3f %10.3f %10.3f %10.3f\n" name
+          a.count (ms a.total_ns)
+          (ms a.total_ns /. float_of_int a.count)
+          (ms a.min_ns) (ms a.max_ns))
+      spans
+  end;
+  let table title rows =
+    if rows <> [] then begin
+      Printf.bprintf buf "%s\n" title;
+      List.iter
+        (fun (name, v) -> Printf.bprintf buf "  %-34s %14g\n" name v)
+        rows
+    end
+  in
+  table "counters:" (counters t);
+  table "gauges:" (gauges t);
+  Buffer.contents buf

@@ -1,7 +1,7 @@
-(** The manifest-feeding sink: structured per-span-name timing
-    aggregates (count/total/min/max, fixed-bucket duration
-    {!Histogram}, accumulated {!Gc_sample} deltas), counter deltas
-    and gauges — what {!Manifest.of_recorder} snapshots. *)
+(** The aggregating sink: structured per-span-name timing aggregates
+    (count/total/min/max, fixed-bucket duration {!Histogram},
+    accumulated {!Gc_sample} deltas), counter deltas and gauges — what
+    {!Manifest.of_recorder} snapshots and {!render} prints. *)
 
 type span_agg = {
   mutable count : int;
@@ -26,3 +26,13 @@ val counters : t -> (string * float) list
 
 val gauges : t -> (string * float) list
 (** Last-write-wins gauge levels, sorted by name. *)
+
+val reset : t -> unit
+(** Drop every aggregate, counter and gauge seen so far (between
+    analysis runs). *)
+
+val render : t -> string
+(** Plain-text table in two sections: span timings (count, total,
+    mean, min, max in ms; total time descending), then the
+    [counters:] and [gauges:] lists sorted by name.  Empty string if
+    nothing was recorded. *)

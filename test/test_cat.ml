@@ -274,6 +274,78 @@ let test_dcache_dataset_uses_median () =
     (fun v -> Alcotest.(check int) "16 entries" 16 (Array.length v))
     m.reps
 
+(* ------------------------------------------------------------------ *)
+(* The one builder: every benchmark's ranges are slices of its whole    *)
+(* catalog                                                              *)
+(* ------------------------------------------------------------------ *)
+
+module D = Cat_bench.Dataset
+
+let benches =
+  [
+    ("cpu-flops", D.Cpu_flops, D.cpu_flops);
+    ("branch", D.Branch, D.branch);
+    ("gpu-flops", D.Gpu_flops, D.gpu_flops);
+    ("zen-flops", D.Zen_flops, D.zen_flops);
+    ("dcache", D.Dcache, D.dcache);
+  ]
+
+(* Bit-level equality: NaN readings would compare unequal under [=]. *)
+let same_vectors a b =
+  List.equal
+    (fun (x : D.measurement) (y : D.measurement) ->
+      x.event.Hwsim.Event.name = y.event.Hwsim.Event.name
+      && List.equal (fun u v -> Array.for_all2 Float.equal u v) x.reps y.reps)
+    a b
+
+let test_range_slices_whole () =
+  List.iter
+    (fun (base, bench, (whole : ?reps:int -> unit -> D.t)) ->
+      let full = whole ~reps:1 () in
+      let n = List.length (D.events bench) in
+      Alcotest.(check int) (base ^ ": whole catalog") n
+        (List.length full.D.measurements);
+      Alcotest.(check (array string)) (base ^ ": row labels")
+        (D.row_labels bench) full.D.row_labels;
+      List.iter
+        (fun (lo, hi) ->
+          let r = D.range ~reps:1 ~lo ~hi bench in
+          let what = Printf.sprintf "%s[%d,%d)" base lo hi in
+          Alcotest.(check string) (what ^ ": name")
+            (if lo = 0 && hi = n then base else what)
+            r.D.name;
+          Alcotest.(check int) (what ^ ": reps") 1 r.D.reps;
+          Alcotest.(check bool) (what ^ ": slice of the whole build") true
+            (same_vectors r.D.measurements
+               (List.filteri (fun i _ -> i >= lo && i < hi) full.D.measurements)))
+        [ (0, 0); (3, 3); (0, n); (n - 1, n); (n / 3, 2 * n / 3) ];
+      List.iter
+        (fun (lo, hi) ->
+          match D.range ~reps:1 ~lo ~hi bench with
+          | _ -> Alcotest.failf "%s: [%d,%d) accepted" base lo hi
+          | exception Invalid_argument _ -> ())
+        [ (-1, 2); (5, 4); (0, n + 1); (n + 1, n + 1) ])
+    benches
+
+let test_range_never_memoized () =
+  List.iter
+    (fun (base, bench, (whole : ?reps:int -> unit -> D.t)) ->
+      let n = List.length (D.events bench) in
+      let memo = whole () in
+      let r = D.range ~lo:0 ~hi:n bench in
+      Alcotest.(check bool) (base ^ ": memo is stable") true (whole () == memo);
+      Alcotest.(check bool) (base ^ ": range is a fresh build") false (r == memo);
+      Alcotest.(check bool) (base ^ ": same readings") true
+        (same_vectors r.D.measurements memo.D.measurements))
+    benches
+
+let test_category_bench () =
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Core.Category.name c ^ ": events") true
+        (Core.Category.events c == D.events (Core.Category.bench c)))
+    Core.Category.all
+
 let () =
   Alcotest.run "cat_bench"
     [
@@ -323,5 +395,8 @@ let () =
           Alcotest.test_case "find missing" `Quick test_dataset_find_missing;
           Alcotest.test_case "csv" `Quick test_dataset_csv;
           Alcotest.test_case "dcache median" `Slow test_dcache_dataset_uses_median;
+          Alcotest.test_case "range = slice, every bench" `Slow test_range_slices_whole;
+          Alcotest.test_case "range never memoized" `Slow test_range_never_memoized;
+          Alcotest.test_case "category bench" `Quick test_category_bench;
         ] );
     ]

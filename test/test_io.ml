@@ -71,7 +71,33 @@ let test_csv_errors () =
   (try
      ignore (Cat_bench.Dataset.of_reps_csv ~name:"x" "event,rep,a\nE1,0,xyz\n");
      Alcotest.fail "expected failure on bad number"
-   with Failure _ -> ())
+   with Failure _ -> ());
+  (* The rep column is validated: each event's reps read 0, 1, ...
+     in order, with the same count for every event. *)
+  let rejects ~line what csv =
+    match Cat_bench.Dataset.of_reps_csv ~name:"x" csv with
+    | _ -> Alcotest.fail ("expected failure on " ^ what)
+    | exception Failure msg ->
+      let prefix = Printf.sprintf "Dataset.of_reps_csv: line %d:" line in
+      Alcotest.(check string) (what ^ ": line") prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  rejects ~line:4 "duplicated rep" "event,rep,a\nE1,0,1\nE1,1,1\nE1,0,1\n";
+  rejects ~line:3 "skipped rep" "event,rep,a\nE1,0,1\nE1,2,1\n";
+  rejects ~line:2 "non-integer rep" "event,rep,a\nE1,x,1\n";
+  rejects ~line:2 "negative rep" "event,rep,a\nE1,-1,1\n";
+  rejects ~line:4 "ragged rep counts"
+    "event,rep,a\nE1,0,1\nE1,1,1\nE2,0,1\nE3,0,1\nE3,1,1\n";
+  (* Interleaved events are fine as long as each one's reps are in
+     order. *)
+  let d =
+    Cat_bench.Dataset.of_reps_csv ~name:"x"
+      "event,rep,a\nE1,0,1\nE2,0,2\nE1,1,3\nE2,1,4\n"
+  in
+  Alcotest.(check int) "interleaved: reps" 2 d.reps;
+  Alcotest.(check (list (list (float 0.0)))) "interleaved: E2 vectors"
+    [ [ 2. ]; [ 4. ] ]
+    (List.map Array.to_list (Cat_bench.Dataset.find d "E2").reps)
 
 let test_mean_csv_shape () =
   let d = small_dataset () in

@@ -145,6 +145,42 @@ let test_counter_accumulation () =
   Obs.reset_counters ();
   Alcotest.(check (float 0.0)) "reset zeroes" 0.0 (Obs.counter "a")
 
+(* The text table [analyze --stats] prints: spans by total time
+   descending, then counters and gauges by name; [reset] empties it. *)
+let test_recorder_render () =
+  with_obs_cleared @@ fun () ->
+  let t = ref 0L in
+  Obs.Clock.set_source (fun () ->
+      t := Int64.add !t 1_000_000L;
+      !t);
+  Fun.protect ~finally:(fun () -> Obs.Clock.set_source Obs.Clock.default_source)
+  @@ fun () ->
+  let r = Obs.Recorder.create () in
+  Obs.install (Obs.Recorder.sink r);
+  Obs.span "outer" (fun () ->
+      Obs.span "inner" ignore;
+      Obs.span "inner" (fun () -> Obs.span "leaf" ignore));
+  Obs.incr "b";
+  Obs.add "a" 2.5;
+  Obs.gauge "g" 3.0;
+  Alcotest.(check string) "table"
+    (String.concat "\n"
+       [
+         "span                          count   total ms    mean ms     min ms     max ms";
+         "outer                             1      7.000      7.000      7.000      7.000";
+         "inner                             2      4.000      2.000      1.000      3.000";
+         "leaf                              1      1.000      1.000      1.000      1.000";
+         "counters:";
+         "  a                                             2.5";
+         "  b                                               1";
+         "gauges:";
+         "  g                                               3";
+         "";
+       ])
+    (Obs.Recorder.render r);
+  Obs.Recorder.reset r;
+  Alcotest.(check string) "reset empties" "" (Obs.Recorder.render r)
+
 (* Readings and noise draws are counted once per sweep, not once per
    reading; the totals must stay what per-reading counting gave.  The
    values were read from a build that counted every reading.  Full-range
@@ -511,6 +547,7 @@ let () =
           Alcotest.test_case "accumulation" `Quick test_counter_accumulation;
           Alcotest.test_case "hwsim totals pinned" `Quick
             test_hwsim_totals_pinned;
+          Alcotest.test_case "recorder table" `Quick test_recorder_render;
         ] );
       ( "chrome-trace",
         [

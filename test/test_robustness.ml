@@ -96,7 +96,32 @@ let test_tiny_projection_tol_rejects_everything_noisy () =
   (try
      ignore (Core.Pipeline.run ~config Core.Category.Branch);
      Alcotest.fail "expected rejection"
-   with Invalid_argument _ -> ())
+   with Core.Stage.No_accepted_events f ->
+     Alcotest.(check int) "kept events were the ones rejected" 9 f.kept)
+
+(* A dataset whose every event is all-zero (like the first four events
+   of a branch export) reaches the projection with nothing kept: the
+   typed error names the fates instead of an untyped
+   [Invalid_argument] from deep inside the projection. *)
+let test_all_zero_dataset_names_fates () =
+  let zero = { Cat_bench.Dataset.event = ev "Z"; reps = [ [| 0.; 0. |]; [| 0.; 0. |] ] } in
+  let d =
+    dataset
+      (List.init 4 (fun i ->
+           { zero with event = ev (Printf.sprintf "Z%d" i) }))
+  in
+  let category = Core.Category.Branch in
+  match
+    Core.Pipeline.run_custom
+      ~config:(Core.Pipeline.default_config category)
+      ~category ~dataset:d
+      ~basis:(Core.Category.basis category)
+      ~signatures:(Core.Category.signatures category) ()
+  with
+  | _ -> Alcotest.fail "expected No_accepted_events"
+  | exception Core.Stage.No_accepted_events f ->
+    Alcotest.(check (list int)) "events, all-zero, too noisy, kept"
+      [ 4; 4; 0; 0 ] [ f.events; f.all_zero; f.too_noisy; f.kept ]
 
 let test_reps_one_pipeline_bounded () =
   (* Single repetition floods the filter (everything kept), yet the
@@ -230,6 +255,8 @@ let () =
           Alcotest.test_case "huge alpha" `Quick test_huge_alpha_degrades_loudly;
           Alcotest.test_case "tiny projection tol" `Quick test_tiny_projection_tol_rejects_everything_noisy;
           Alcotest.test_case "one repetition bounded" `Quick test_reps_one_pipeline_bounded;
+          Alcotest.test_case "all-zero dataset names fates" `Quick
+            test_all_zero_dataset_names_fates;
         ] );
       ( "simulators",
         [

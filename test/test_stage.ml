@@ -390,7 +390,7 @@ let test_concurrent_runs () =
            seq.classified concurrent.(i).classified))
     sequential
 
-(* The same pair on two domains with an [Obs.Summary] sink installed:
+(* The same pair on two domains with an [Obs.Recorder] sink installed:
    both domains open spans and add counters at once.  Results stay
    bit-identical to sequential runs, and every counter total is the
    sum of the two sequential runs' totals.  Three repetitions bypass
@@ -404,12 +404,12 @@ let test_concurrent_runs_with_sink () =
       ~config:{ (Stage.default_config c) with Stage.reps = 3 }
       c
   in
-  let summary = Obs.Summary.create () in
-  Obs.install (Obs.Summary.sink summary);
+  let recorder = Obs.Recorder.create () in
+  Obs.install (Obs.Recorder.sink recorder);
   let sequential = Array.map run pair in
   let seq_totals = Obs.counters () in
   Obs.reset_counters ();
-  Obs.Summary.reset summary;
+  Obs.Recorder.reset recorder;
   let concurrent =
     E.map ~executor:(E.Domains 2) (Array.length pair) (fun i -> run pair.(i))
   in
@@ -429,12 +429,8 @@ let test_concurrent_runs_with_sink () =
     (List.mem_assoc "hwsim.readings" seq_totals);
   Alcotest.(check (list (pair string (float 0.0))))
     "collector totals = sequential sum" seq_totals (Obs.counters ());
-  List.iter
-    (fun (name, total) ->
-      Alcotest.(check (float 0.0))
-        ("summary total " ^ name) total
-        (Obs.Summary.counter_total summary name))
-    seq_totals
+  Alcotest.(check (list (pair string (float 0.0))))
+    "recorder totals = sequential sum" seq_totals (Obs.Recorder.counters recorder)
 
 (* ------------------------------------------------------------------ *)
 (* The jobs sweep: executor equivalence                               *)
