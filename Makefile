@@ -75,6 +75,17 @@ csv-smoke:
 	dune exec bin/analyze.exe -- -c branch \
 	  --csv /tmp/csv_smoke_zero.csv; test $$? -eq 1
 	dune exec bin/analyze.exe -- -c branch --projection-tol 1e-300; test $$? -eq 1
+	awk '{ printf "%s\r\n", $$0; if (NR % 7 == 0) printf "\r\n" }' \
+	  /tmp/csv_smoke_full.csv > /tmp/csv_smoke_crlf.csv
+	dune exec bin/analyze.exe -- -c branch --show all \
+	  --csv /tmp/csv_smoke_full.csv > /tmp/csv_smoke_lf.out
+	dune exec bin/analyze.exe -- -c branch --show all \
+	  --csv /tmp/csv_smoke_crlf.csv > /tmp/csv_smoke_crlf.out
+	cmp /tmp/csv_smoke_lf.out /tmp/csv_smoke_crlf.out
+	cut -d, -f1-12 /tmp/csv_smoke_full.csv > /tmp/csv_smoke_rows.csv
+	dune exec bin/analyze.exe -- -c branch \
+	  --csv /tmp/csv_smoke_rows.csv 2> /tmp/csv_smoke_rows.err; test $$? -eq 1
+	test "$$(wc -l < /tmp/csv_smoke_rows.err)" -eq 1
 
 # Sharded execution must be byte-identical to the monolithic run —
 # both in-process (--shards) and through serialized shard artifacts

@@ -332,6 +332,11 @@ let main category tau alpha proj_tol reps sections csv auto_tau obs manifest
         exit 1
       | Core.Stage.No_accepted_events f ->
         prerr_endline ("analyze: " ^ no_accepted_message f);
+        exit 1
+      | Core.Stage.Row_count_mismatch { category; rows; expected } ->
+        (* Only a --csv dataset can measure other rows than the basis. *)
+        Printf.eprintf "analyze: CSV has %d kernel rows, %s expects %d\n" rows
+          category expected;
         exit 1)
 
 (* ------------------------------------------------------------------ *)
@@ -666,6 +671,10 @@ let merge_main files sections json manifest store obs =
       exit 1
     | Core.Stage.No_accepted_events f ->
       Printf.eprintf "analyze merge: %s\n" (no_accepted_message f);
+      exit 1
+    | Core.Stage.Row_count_mismatch { category; rows; expected } ->
+      Printf.eprintf "analyze merge: shards have %d kernel rows, %s expects %d\n"
+        rows category expected;
       exit 1
   in
   print_sections ~sections category r;

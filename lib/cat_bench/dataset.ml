@@ -232,63 +232,119 @@ type imported = {
   mutable last_line : int;
 }
 
+(* String.trim's whitespace. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* The value of the decimal digits [s.[i..hi)], or -1 if another
+   character occurs; the caller bounds the length. *)
+let rec plain_int s i hi acc =
+  if i = hi then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as d -> plain_int s (i + 1) hi ((acc * 10) + Char.code d - Char.code '0')
+    | _ -> -1
+
+(* One scan over the input: lines, fields and trimming are index
+   bounds into [csv], so a line allocates only its event name and its
+   vector (plus a substring for a number that is not a plain integer).
+   Checks, their order and their messages are those of splitting the
+   input into trimmed lines and fields. *)
 let of_reps_csv ~name csv =
   let fail line msg = failwith (Printf.sprintf "Dataset.of_reps_csv: line %d: %s" line msg) in
-  (* Blank lines are skipped but still counted in line numbers. *)
-  let rec find_header lineno = function
-    | [] -> failwith "Dataset.of_reps_csv: empty input"
-    | l :: rest when String.trim l = "" -> find_header (lineno + 1) rest
-    | l :: rest -> (lineno, String.trim l, rest)
+  let len = String.length csv in
+  let line_end pos = Option.value (String.index_from_opt csv pos '\n') ~default:len in
+  let rec trim_lo lo hi = if lo < hi && is_space csv.[lo] then trim_lo (lo + 1) hi else lo in
+  let rec trim_hi lo hi = if hi > lo && is_space csv.[hi - 1] then trim_hi lo (hi - 1) else hi in
+  let rec comma_from i hi = if i < hi && csv.[i] <> ',' then comma_from (i + 1) hi else i in
+  let rec commas i hi k = if i = hi then k else commas (i + 1) hi (if csv.[i] = ',' then k + 1 else k) in
+  (* Blank lines are skipped but still counted in line numbers.
+     Returns the header's line number, trimmed text and line end. *)
+  let rec find_header pos lineno =
+    let e = line_end pos in
+    let lo = trim_lo pos e in
+    let hi = trim_hi lo e in
+    if lo < hi then (lineno, String.sub csv lo (hi - lo), e)
+    else if e = len then failwith "Dataset.of_reps_csv: empty input"
+    else find_header (e + 1) (lineno + 1)
   in
-  let header_line, header, data = find_header 1 (String.split_on_char '\n' csv) in
+  let header_line, header, header_end = find_header 0 1 in
   match String.split_on_char ',' header with
   | "event" :: "rep" :: labels when labels <> [] ->
     let row_labels = Array.of_list labels in
     let n = Array.length row_labels in
+    (* [v.(k)] <- the number in field [fa, fb).  A trimmed field of
+       1-15 decimal digits is below 2^53, so [float_of_int] of its
+       digits is exactly what [float_of_string] gives. *)
+    let store lineno v k fa fb =
+      let ta = trim_lo fa fb in
+      let tb = trim_hi ta fb in
+      let x = if tb - ta >= 1 && tb - ta <= 15 then plain_int csv ta tb 0 else -1 in
+      if x >= 0 then v.(k) <- float_of_int x
+      else
+        match float_of_string_opt (String.sub csv ta (tb - ta)) with
+        | Some f -> v.(k) <- f
+        | None -> fail lineno ("bad number " ^ String.sub csv fa (fb - fa))
+    in
     (* Accumulate repetition vectors per event, preserving first-
        appearance order.  Each event's reps must read 0, 1, ... in
        order: a duplicated, skipped or non-integer rep fails. *)
     let order = ref [] in
     let table : (string, imported) Hashtbl.t = Hashtbl.create 64 in
-    List.iteri
-      (fun i line ->
-        let lineno = header_line + 1 + i and line = String.trim line in
-        if line <> "" then
-          match String.split_on_char ',' line with
-          | event :: rep :: values ->
-            if List.length values <> n then
-              fail lineno
-                (Printf.sprintf "expected %d values, got %d" n
-                   (List.length values));
-            let v =
-              Array.of_list
-                (List.map
-                   (fun s ->
-                     match float_of_string_opt (String.trim s) with
-                     | Some f -> f
-                     | None -> fail lineno ("bad number " ^ s))
-                   values)
-            in
-            let e =
-              match Hashtbl.find_opt table event with
-              | Some e -> e
-              | None ->
-                let e = { vectors = []; count = 0; last_line = lineno } in
-                order := event :: !order;
-                Hashtbl.add table event e;
-                e
-            in
-            let rep = String.trim rep in
-            if not (String.for_all (fun c -> '0' <= c && c <= '9') rep
-                    && int_of_string_opt rep = Some e.count)
-            then
-              fail lineno
-                (Printf.sprintf "%s: repetition %S, expected %d" event rep e.count);
-            e.vectors <- v :: e.vectors;
-            e.count <- e.count + 1;
-            e.last_line <- lineno
-          | _ -> fail lineno "expected event,rep,values...")
-      data;
+    (* One trimmed, non-blank line [lo, hi): event,rep,values... *)
+    let data_line lineno lo hi =
+      let c1 = comma_from lo hi in
+      if c1 = hi then fail lineno "expected event,rep,values...";
+      let c2 = comma_from (c1 + 1) hi in
+      let count = if c2 = hi then 0 else commas (c2 + 1) hi 0 + 1 in
+      if count <> n then
+        fail lineno (Printf.sprintf "expected %d values, got %d" n count);
+      let v = Array.make n 0.0 in
+      let rec fields k fa =
+        if k < n then begin
+          let fb = comma_from fa hi in
+          store lineno v k fa fb;
+          fields (k + 1) (fb + 1)
+        end
+      in
+      fields 0 (c2 + 1);
+      let event = String.sub csv lo (c1 - lo) in
+      let e =
+        match Hashtbl.find_opt table event with
+        | Some e -> e
+        | None ->
+          let e = { vectors = []; count = 0; last_line = lineno } in
+          order := event :: !order;
+          Hashtbl.add table event e;
+          e
+      in
+      (* The trimmed rep must be all digits and read [e.count]. *)
+      let ra = trim_lo (c1 + 1) c2 in
+      let rb = trim_hi ra c2 in
+      let rec rep_ok i acc =
+        if i = rb then ra < rb && acc = e.count
+        else
+          match csv.[i] with
+          | '0' .. '9' as d ->
+            let acc = (acc * 10) + Char.code d - Char.code '0' in
+            acc <= e.count && rep_ok (i + 1) acc
+          | _ -> false
+      in
+      if not (rep_ok ra 0) then
+        fail lineno
+          (Printf.sprintf "%s: repetition %S, expected %d" event
+             (String.sub csv ra (rb - ra)) e.count);
+      e.vectors <- v :: e.vectors;
+      e.count <- e.count + 1;
+      e.last_line <- lineno
+    in
+    let rec data_lines pos lineno =
+      let e = line_end pos in
+      let lo = trim_lo pos e in
+      let hi = trim_hi lo e in
+      if lo < hi then data_line lineno lo hi;
+      if e < len then data_lines (e + 1) (lineno + 1)
+    in
+    if header_end < len then data_lines (header_end + 1) (header_line + 1);
     let order = List.rev !order in
     let reps =
       match order with [] -> 0 | first :: _ -> (Hashtbl.find table first).count

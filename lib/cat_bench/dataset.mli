@@ -101,4 +101,12 @@ val of_reps_csv : name:string -> string -> t
     {e real} CAT measurements looks like: the analysis only ever uses
     names and numbers.  Each event's reps must read 0, 1, ..., k-1, with
     the same k for every event.  Raises [Failure] with a line number
-    on malformed input. *)
+    on malformed input; blank lines are skipped but counted.
+
+    One scan over [csv]: lines may end in LF or CRLF, and every line
+    and every data field is trimmed of [String.trim]'s whitespace
+    (header labels are kept as written).  A field of
+    1-15 decimal digits is read as an integer (exact, so the same
+    float as [float_of_string]); any other field goes through
+    [float_of_string_opt], so signs, [_], hex, exponents, [nan] and
+    [inf] read as OCaml reads them. *)

@@ -20,6 +20,15 @@ let group_of_event cfg ~n_events ~event_index =
      group mixes unrelated events, as perf-style schedulers do. *)
   event_index mod groups cfg ~n_events
 
+(* [of_string (sprintf "%s|mux|%s|rep=%d|row=%d" ...)], folded into
+   the hash piece by piece as Hwsim.Machine.reading_rng does. *)
+let slice_rng ~seed ~rep ~row (event : Hwsim.Event.t) =
+  let open Numkit.Rng in
+  create
+    (fnv_offset_basis |> fnv_string seed |> fnv_string "|mux|"
+    |> fnv_string event.Hwsim.Event.name
+    |> fnv_string "|rep=" |> fnv_int rep |> fnv_string "|row=" |> fnv_int row)
+
 let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
     activity =
   validate cfg;
@@ -33,11 +42,7 @@ let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
     if n_groups = 1 then ideal
     else begin
       let my_group = group_of_event cfg ~n_events ~event_index in
-      let rng =
-        Numkit.Rng.of_string
-          (Printf.sprintf "%s|mux|%s|rep=%d|row=%d" seed event.Hwsim.Event.name
-             rep row)
-      in
+      let rng = slice_rng ~seed ~rep ~row event in
       let weights =
         Array.init cfg.slices (fun _ ->
             Numkit.Rng.lognormal rng ~mu:0.0 ~sigma:cfg.jitter)
@@ -60,11 +65,9 @@ let measure cfg ~seed ~rep ~row ~event_index ~n_events (event : Hwsim.Event.t)
       end
     end
   in
-  let rng_noise =
-    Numkit.Rng.of_string
-      (Printf.sprintf "%s|%s|rep=%d|row=%d" seed event.Hwsim.Event.name rep row)
-  in
-  Hwsim.Noise_model.apply event.Hwsim.Event.noise rng_noise value
+  Hwsim.Noise_model.apply event.Hwsim.Event.noise
+    (Hwsim.Machine.reading_rng ~seed ~rep ~row event)
+    value
 
 let dataset cfg ~name ~seed ~reps ~events ~rows ~row_labels =
   Obs.span "multiplex-dataset" @@ fun () ->

@@ -31,6 +31,12 @@ val groups : config -> n_events:int -> int
 
 val group_of_event : config -> n_events:int -> event_index:int -> int
 
+val slice_rng : seed:string -> rep:int -> row:int -> Hwsim.Event.t -> Numkit.Rng.t
+(** The generator behind one reading's slice weights: seeded from the
+    FNV-1a hash of ["<seed>|mux|<event name>|rep=<rep>|row=<row>"],
+    computed without building that string.  The reading's own noise
+    draws from {!Hwsim.Machine.reading_rng} with the same [seed]. *)
+
 val measure :
   config -> seed:string -> rep:int -> row:int -> event_index:int ->
   n_events:int -> Hwsim.Event.t -> Hwsim.Activity.t -> float

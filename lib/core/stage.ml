@@ -44,6 +44,8 @@ type fates = { events : int; all_zero : int; too_noisy : int; kept : int }
 
 exception No_accepted_events of fates
 
+exception Row_count_mismatch of { category : string; rows : int; expected : int }
+
 let preflight_check (run : Run.t) category =
   Option.map
     (fun lint ->
@@ -356,9 +358,18 @@ let downstream ?(record_ledger = false) ~config ~category ~basis ~signatures
     ~classified () =
   let projected, (x, x_names) =
     Obs.span "projection" (fun () ->
+        let kept = Noise_filter.kept classified in
+        let expected = Expectation.rows basis in
+        List.iter
+          (fun (c : Noise_filter.classified) ->
+            let rows = Linalg.Vec.dim c.mean in
+            if rows <> expected then
+              raise
+                (Row_count_mismatch
+                   { category = Category.name category; rows; expected }))
+          kept;
         let projected =
-          Projection.project ~tol:config.projection_tol basis
-            (Noise_filter.kept classified)
+          Projection.project ~tol:config.projection_tol basis kept
         in
         if Projection.accepted projected = [] then begin
           let count = Noise_filter.count classified in

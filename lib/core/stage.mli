@@ -77,6 +77,14 @@ exception No_accepted_events of fates
     ones is representable within [projection_tol].  Carries the fates
     so the caller can say which. *)
 
+exception Row_count_mismatch of { category : string; rows : int; expected : int }
+(** Raised by {!downstream} (so by every driver) before it projects a
+    kept event whose vector has [rows] entries while the category's
+    basis has [expected] rows: a ready-made dataset (an imported CSV)
+    measured a different set of kernel rows.  A dataset with no kept
+    event never reaches the projection and gets {!No_accepted_events}
+    instead. *)
+
 val preflight_check : Run.t -> Category.t -> Obs.Manifest.lint_summary option
 (** Run the context's gate, raising {!Preflight_failed} if any
     diagnostic has error severity; otherwise return the severity
@@ -199,10 +207,12 @@ val downstream :
   basis:Expectation.t -> signatures:Signature.t list ->
   classified:Noise_filter.classified list -> unit -> result
 (** Projection -> specialized QRCP -> metric definitions; raises
-    {!No_accepted_events} when the projection accepts nothing.  With
-    [record_ledger] (default false) the provenance ledger is assembled
-    from the same QRCP factorization ({!assemble_ledger}), stored in
-    the result and published as [ledger.*] counters. *)
+    {!Row_count_mismatch} when a kept event's vector does not fit the
+    basis and {!No_accepted_events} when the projection accepts
+    nothing.  With [record_ledger] (default false) the provenance
+    ledger is assembled from the same QRCP factorization
+    ({!assemble_ledger}), stored in the result and published as
+    [ledger.*] counters. *)
 
 val assemble_ledger :
   result -> steps:Special_qrcp.step list ->

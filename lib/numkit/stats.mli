@@ -2,7 +2,14 @@
 
     The noise-analysis stage (paper Section IV) needs means, medians
     across measuring threads, and the root normalized mean-square
-    error (RNMSE, Eq. 4) between repetition vectors. *)
+    error (RNMSE, Eq. 4) between repetition vectors.
+
+    The kernels are loops over float arrays that allocate only their
+    results (plus a few words per repetition set), so the noise filter
+    scales to catalogs of thousands of events.  Each performs its
+    floating-point operations in a fixed order — index order, pairs
+    (i < j) row-major, Kahan-compensated sums — so every result is
+    bit-for-bit reproducible, NaN payloads included. *)
 
 val mean : float array -> float
 (** Arithmetic mean.  Raises [Invalid_argument] on empty input. *)
@@ -32,12 +39,14 @@ val rnmse : float array -> float array -> float
     If the product of the two means is not positive — either mean is
     zero (the paper's rule), or the inputs are not counter-like — the
     variability is defined to be [1.] (100% error).  The vectors must
-    have equal positive length. *)
+    have equal positive length, else [Invalid_argument]. *)
 
 val max_rnmse : float array list -> float
 (** [max_rnmse reps] is the maximum {!rnmse} over all unordered pairs
     of repetition vectors — the paper's per-event variability measure.
-    Returns [0.] when fewer than two repetitions are supplied. *)
+    Returns [0.] when fewer than two repetitions are supplied.  Each
+    repetition's mean is computed once; raises as {!rnmse} does when
+    the vectors differ in length or are empty. *)
 
 val mean_rnmse : float array list -> float
 (** Mean pairwise {!rnmse} — a smoother variability measure, less

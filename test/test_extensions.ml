@@ -160,6 +160,30 @@ let test_multiplex_validation () =
            { Cat_bench.Multiplex.default_config with counters = 0 }
            ~n_events:4))
 
+(* The slice-weight seed is folded into the hash piece by piece; it
+   must give the generator the formatted seed string gives, at the
+   edge values of the reading-seed pin in test_hwsim. *)
+let test_multiplex_slice_seed_matches_string () =
+  let ints = [ 0; 9; 10; 99; 100; 12345; max_int; -1; min_int ] in
+  let draws rng = List.init 6 (fun _ -> Numkit.Rng.next_int64 rng) in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun name ->
+          let e = Hwsim.Event.make ~name ~desc:"" [ (1.0, "x") ] in
+          List.iter
+            (fun rep ->
+              List.iter
+                (fun row ->
+                  let key = Printf.sprintf "%s|mux|%s|rep=%d|row=%d" seed name rep row in
+                  Alcotest.(check (list int64)) (String.escaped key)
+                    (draws (Numkit.Rng.of_string key))
+                    (draws (Cat_bench.Multiplex.slice_rng ~seed ~rep ~row e)))
+                ints)
+            ints)
+        [ "BR_INST_RETIRED:COND"; "a|b=c"; "|mux|rep=1"; "caf\xc3\xa9\xff" ])
+    [ ""; "cat-branch-mux" ]
+
 (* ------------------------------------------------------------------ *)
 (* Application workloads + validation                                  *)
 (* ------------------------------------------------------------------ *)
@@ -320,6 +344,8 @@ let () =
           Alcotest.test_case "noise grows with pressure" `Quick test_multiplex_noise_grows_with_pressure;
           Alcotest.test_case "unbiased" `Quick test_multiplex_unbiased;
           Alcotest.test_case "validation" `Quick test_multiplex_validation;
+          Alcotest.test_case "slice seed = string seed" `Quick
+            test_multiplex_slice_seed_matches_string;
         ] );
       ( "apps",
         [

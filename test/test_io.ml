@@ -99,6 +99,235 @@ let test_csv_errors () =
     [ [ 2. ]; [ 4. ] ]
     (List.map Array.to_list (Cat_bench.Dataset.find d "E2").reps)
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the one-scan parser against the split-based original  *)
+(* ------------------------------------------------------------------ *)
+
+(* The split-on-lines-and-fields parser the one-scan reader replaced,
+   kept as the oracle: both must return equal datasets (floats
+   compared bitwise) or fail with the same message. *)
+module Oracle = struct
+  type imported = {
+    mutable vectors : float array list;
+    mutable count : int;
+    mutable last_line : int;
+  }
+
+  let of_reps_csv ~name csv =
+    let fail line msg = failwith (Printf.sprintf "Dataset.of_reps_csv: line %d: %s" line msg) in
+    let rec find_header lineno = function
+      | [] -> failwith "Dataset.of_reps_csv: empty input"
+      | l :: rest when String.trim l = "" -> find_header (lineno + 1) rest
+      | l :: rest -> (lineno, String.trim l, rest)
+    in
+    let header_line, header, data = find_header 1 (String.split_on_char '\n' csv) in
+    match String.split_on_char ',' header with
+    | "event" :: "rep" :: labels when labels <> [] ->
+      let row_labels = Array.of_list labels in
+      let n = Array.length row_labels in
+      let order = ref [] in
+      let table : (string, imported) Hashtbl.t = Hashtbl.create 64 in
+      List.iteri
+        (fun i line ->
+          let lineno = header_line + 1 + i and line = String.trim line in
+          if line <> "" then
+            match String.split_on_char ',' line with
+            | event :: rep :: values ->
+              if List.length values <> n then
+                fail lineno
+                  (Printf.sprintf "expected %d values, got %d" n
+                     (List.length values));
+              let v =
+                Array.of_list
+                  (List.map
+                     (fun s ->
+                       match float_of_string_opt (String.trim s) with
+                       | Some f -> f
+                       | None -> fail lineno ("bad number " ^ s))
+                     values)
+              in
+              let e =
+                match Hashtbl.find_opt table event with
+                | Some e -> e
+                | None ->
+                  let e = { vectors = []; count = 0; last_line = lineno } in
+                  order := event :: !order;
+                  Hashtbl.add table event e;
+                  e
+              in
+              let rep = String.trim rep in
+              if not (String.for_all (fun c -> '0' <= c && c <= '9') rep
+                      && int_of_string_opt rep = Some e.count)
+              then
+                fail lineno
+                  (Printf.sprintf "%s: repetition %S, expected %d" event rep e.count);
+              e.vectors <- v :: e.vectors;
+              e.count <- e.count + 1;
+              e.last_line <- lineno
+            | _ -> fail lineno "expected event,rep,values...")
+        data;
+      let order = List.rev !order in
+      let reps =
+        match order with [] -> 0 | first :: _ -> (Hashtbl.find table first).count
+      in
+      let measurements =
+        List.map
+          (fun event_name ->
+            let e = Hashtbl.find table event_name in
+            if e.count <> reps then
+              fail e.last_line
+                (Printf.sprintf "%s has %d repetitions, %s has %d" event_name
+                   e.count (List.hd order) reps);
+            {
+              Cat_bench.Dataset.event = Hwsim.Event.make ~name:event_name ~desc:"imported" [];
+              reps = List.rev e.vectors;
+            })
+          order
+      in
+      { Cat_bench.Dataset.name; row_labels; reps; measurements }
+    | _ -> fail header_line "expected header event,rep,<row labels>"
+end
+
+(* A dataset as text, every float as its bits. *)
+let render (d : Cat_bench.Dataset.t) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "%S reps=%d labels=[%s]\n" d.name d.reps
+    (String.concat "|" (Array.to_list (Array.map String.escaped d.row_labels)));
+  List.iter
+    (fun (m : Cat_bench.Dataset.measurement) ->
+      Printf.bprintf b "%S %S:" m.event.Hwsim.Event.name m.event.Hwsim.Event.description;
+      List.iter
+        (fun v ->
+          Buffer.add_string b " [";
+          Array.iter (fun x -> Printf.bprintf b " %Lx" (Int64.bits_of_float x)) v;
+          Buffer.add_string b " ]")
+        m.reps;
+      Buffer.add_char b '\n')
+    d.measurements;
+  Buffer.contents b
+
+let parse_outcome parse csv =
+  match parse ~name:"x" csv with
+  | d -> "ok " ^ render d
+  | exception Failure msg -> "Failure " ^ msg
+
+let check_parsers_agree what csv =
+  Alcotest.(check string) (what ^ ": " ^ String.escaped csv)
+    (parse_outcome Oracle.of_reps_csv csv)
+    (parse_outcome Cat_bench.Dataset.of_reps_csv csv)
+
+(* Field texts for the number path: plain integers (with leading
+   zeros, at the 15/16/17-digit edges, past 2^53), the syntaxes
+   float_of_string also accepts, padding, and malformed fields. *)
+let number_tokens =
+  [| "0"; "7"; "42"; "007"; "000000000000000"; "123456789012345";
+     "999999999999999"; "1234567890123456"; "9007199254740992";
+     "9007199254740993"; "12345678901234567"; "00000000000000000001";
+     "99999999999999999999"; "+5"; "-0"; "-12"; "1_000"; "0x1p3"; "0X1F";
+     "1e3"; "1E-3"; "1.5"; ".5"; "5."; "nan"; "NaN"; "-nan"; "inf";
+     "-inf"; "infinity"; " 42"; "42 "; "\t42\t"; " 1e3 "; "\r7"; "";
+     " "; "abc"; "1 2"; "4,"; "0x"; "1e"; "--1"; "+"; "_1" |]
+
+let gen_csv rng =
+  let module R = Numkit.Rng in
+  let pick a = a.(R.int rng (Array.length a)) in
+  let n = 1 + R.int rng 4 in
+  let labels = List.init n (fun i -> pick [| "r"; " r"; "r "; "row" |] ^ string_of_int i) in
+  let header =
+    match R.int rng 12 with
+    | 0 -> "event,rep"
+    | 1 -> "ev,rep," ^ String.concat "," labels
+    | 2 -> " event,rep," ^ String.concat "," labels ^ " \t"
+    | _ -> "event,rep," ^ String.concat "," labels
+  in
+  let eol () = if R.int rng 3 = 0 then "\r\n" else "\n" in
+  let blank () = pick [| ""; " "; "\t"; " \r"; "\012" |] in
+  let names = [| "E1"; "E2"; "E2 "; "A|b=c"; "\tE3"; "E1 " |] in
+  let k = 1 + R.int rng 3 in
+  let events = List.init (1 + R.int rng 3) (fun _ -> pick names) in
+  let value () =
+    if R.int rng 4 = 0 then pick number_tokens
+    else string_of_int (R.int rng 1_000_000)
+  in
+  let line name rep =
+    let count =
+      match R.int rng 30 with 0 -> n + 1 | 1 -> n - 1 | 2 -> 0 | _ -> n
+    in
+    let rep =
+      match R.int rng 40 with
+      | 0 -> string_of_int (rep + 1)
+      | 1 -> " " ^ string_of_int rep ^ " "
+      | 2 -> "0" ^ string_of_int rep
+      | 3 -> "+" ^ string_of_int rep
+      | 4 -> ""
+      | _ -> string_of_int rep
+    in
+    let fields = name :: rep :: List.init count (fun _ -> value ()) in
+    let sep () = if R.int rng 20 = 0 then " , " else "," in
+    let text = List.fold_left (fun acc f -> acc ^ sep () ^ f) (List.hd fields) (List.tl fields) in
+    if R.int rng 25 = 0 then text ^ "," else text
+  in
+  let b = Buffer.create 256 in
+  for _ = 1 to R.int rng 3 do
+    Buffer.add_string b (blank () ^ eol ())
+  done;
+  Buffer.add_string b header;
+  (* Reps in order per event, events interleaved or in blocks. *)
+  let lines =
+    if R.bool rng then List.concat_map (fun e -> List.init k (fun r -> line e r)) events
+    else List.concat (List.init k (fun r -> List.map (fun e -> line e r) events))
+  in
+  let lines = if R.int rng 10 = 0 then List.filteri (fun i _ -> i <> 0) lines else lines in
+  List.iter
+    (fun l ->
+      Buffer.add_string b (eol ());
+      if R.int rng 6 = 0 then Buffer.add_string b (blank () ^ eol ());
+      Buffer.add_string b l)
+    lines;
+  if R.bool rng then Buffer.add_string b (eol ());
+  Buffer.contents b
+
+let test_csv_differential () =
+  let rng = Numkit.Rng.of_string "csv-differential" in
+  for case = 1 to 4000 do
+    check_parsers_agree (Printf.sprintf "case %d" case) (gen_csv rng)
+  done
+
+let test_csv_differential_fixed () =
+  List.iter
+    (fun csv -> check_parsers_agree "fixed" csv)
+    [
+      "";
+      "  \n \n";
+      "\r\n";
+      "event,rep,a";
+      "event,rep,a\n";
+      "event,rep\nE,0\n";
+      "event,rep,\nE,0,\n";
+      "event, rep,a\nE,0,1\n";
+      "x\nE,0,1\n";
+      "event,rep,a\r\nE1,0,1\r\n\r\nE1,1,2\r\n";
+      "event,rep,a,b\nE1 ,0, 1 ,2 \n";
+      "event,rep,a\nE1\n";
+      "event,rep,a\n,\n";
+      "event,rep,a\nE1,0\n";
+      "event,rep,a\nE1,0,\n";
+      "event,rep,a\nE1,0,1,\n";
+      "event,rep,a\nE1,0,1,2\n";
+      "event,rep,a\nE1,0,xyz\n";
+      "event,rep,a,b\nE1,0,xyz,1_0\n";
+      "event,rep,a,b\nE1,0,1\n";
+      "event,rep,a\nE1,0,1\nE1,1,1\nE1,0,1\n";
+      "event,rep,a\nE1,0,1\nE1,2,1\n";
+      "event,rep,a\nE1,x,1\n";
+      "event,rep,a\nE1,-1,1\n";
+      "event,rep,a\nE1,99999999999999999999999,1\n";
+      "event,rep,a\nE1,0,1\nE1,1,1\nE2,0,1\nE3,0,1\nE3,1,1\n";
+      "event,rep,a\nE1,0,1\nE2,0,2\nE1,1,3\nE2,1,4\n";
+      "event,rep,a,b,c,d\nE,0,9007199254740993,12345678901234567,+5,-0\n";
+      "event,rep,a,b,c,d,e\nE,000,1_000,0x1p3,1e3,nan,inf\n";
+    ]
+
 let test_mean_csv_shape () =
   let d = small_dataset () in
   let lines = String.split_on_char '\n' (String.trim (Cat_bench.Dataset.to_csv d)) in
@@ -194,6 +423,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_reps_csv_roundtrip;
           Alcotest.test_case "real data roundtrip" `Quick test_real_dataset_roundtrip_preserves_analysis;
           Alcotest.test_case "errors" `Quick test_csv_errors;
+          Alcotest.test_case "parser = split oracle, generated" `Quick
+            test_csv_differential;
+          Alcotest.test_case "parser = split oracle, fixed" `Quick
+            test_csv_differential_fixed;
           Alcotest.test_case "mean csv shape" `Quick test_mean_csv_shape;
         ] );
       ( "json",

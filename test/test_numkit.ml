@@ -151,6 +151,216 @@ let test_all_zero () =
   Alcotest.(check bool) "nonzero" false (Numkit.Stats.all_zero [| 0.0; 1e-30 |])
 
 (* ------------------------------------------------------------------ *)
+(* Differential: the loop kernels against the list-based originals     *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-and-closure formulation the loop kernels replaced, kept
+   verbatim as the oracle: every result must match bit for bit, and
+   every invalid input must raise the same exception. *)
+module Oracle = struct
+  let check_nonempty name a =
+    if Array.length a = 0 then invalid_arg (name ^ ": empty input")
+
+  let sum a =
+    let s = ref 0.0 and c = ref 0.0 in
+    Array.iter
+      (fun x ->
+        let y = x -. !c in
+        let t = !s +. y in
+        c := t -. !s -. y;
+        s := t)
+      a;
+    !s
+
+  let mean a =
+    check_nonempty "Stats.mean" a;
+    sum a /. float_of_int (Array.length a)
+
+  let sorted_copy a =
+    let b = Array.copy a in
+    Array.sort compare b;
+    b
+
+  let median a =
+    check_nonempty "Stats.median" a;
+    let b = sorted_copy a in
+    let n = Array.length b in
+    if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
+
+  let rnmse m1 m2 =
+    let n = Array.length m1 in
+    if n = 0 || n <> Array.length m2 then invalid_arg "Stats.rnmse: length mismatch";
+    let mu1 = mean m1 and mu2 = mean m2 in
+    if mu1 *. mu2 <= 0.0 then 1.0
+    else begin
+      let diff = Array.init n (fun i -> (m1.(i) -. m2.(i)) *. (m1.(i) -. m2.(i))) in
+      sqrt (sum diff) /. sqrt (float_of_int n *. mu1 *. mu2)
+    end
+
+  let max_rnmse reps =
+    let reps = Array.of_list reps in
+    let worst = ref 0.0 in
+    for i = 0 to Array.length reps - 1 do
+      for j = i + 1 to Array.length reps - 1 do
+        let v = rnmse reps.(i) reps.(j) in
+        if not (v <= !worst) then worst := v
+      done
+    done;
+    !worst
+
+  let mean_rnmse reps =
+    let reps = Array.of_list reps in
+    let total = ref 0.0 and pairs = ref 0 in
+    for i = 0 to Array.length reps - 1 do
+      for j = i + 1 to Array.length reps - 1 do
+        total := !total +. rnmse reps.(i) reps.(j);
+        incr pairs
+      done
+    done;
+    if !pairs = 0 then 0.0 else !total /. float_of_int !pairs
+
+  let max_relative_range reps =
+    match reps with
+    | [] | [ _ ] -> 0.0
+    | first :: _ ->
+      let n = Array.length first in
+      let worst = ref 0.0 in
+      for i = 0 to n - 1 do
+        let values = List.map (fun v -> v.(i)) reps in
+        let lo = List.fold_left Float.min infinity values in
+        let hi = List.fold_left Float.max neg_infinity values in
+        let mu = List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values) in
+        let range = hi -. lo in
+        let rel =
+          if range = 0.0 then 0.0 else if mu = 0.0 then 1.0 else range /. mu
+        in
+        if not (rel <= !worst) then worst := rel
+      done;
+      !worst
+
+  let elementwise f vs =
+    match vs with
+    | [] -> invalid_arg "Stats.elementwise: empty list"
+    | first :: _ ->
+      let n = Array.length first in
+      List.iter
+        (fun v ->
+          if Array.length v <> n then invalid_arg "Stats.elementwise: ragged input")
+        vs;
+      Array.init n (fun i -> f (Array.of_list (List.map (fun v -> v.(i)) vs)))
+
+  let elementwise_mean vs = elementwise mean vs
+  let elementwise_median vs = elementwise median vs
+  let all_zero a = Array.for_all (fun x -> x = 0.0) a
+end
+
+(* One generated value: counter-like integers, magnitudes mixed over
+   1e-300..1e300 of either sign, or a special value. *)
+let gen_value rng =
+  let module R = Numkit.Rng in
+  match R.int rng 10 with
+  | 0 | 1 | 2 | 3 -> float_of_int (R.int rng 1_000_000)
+  | 4 | 5 ->
+    let x = 10.0 ** R.uniform rng ~lo:(-300.0) ~hi:300.0 in
+    if R.bool rng then x else -.x
+  | 6 -> 0.0
+  | 7 -> -0.0
+  | 8 -> R.normal rng ~mu:0.0 ~sigma:1e3
+  | _ -> [| nan; infinity; neg_infinity; -.nan; max_float; min_float; 5e-324 |].(R.int rng 7)
+
+(* A repetition set: 1-7 reps of 1-64 rows, with all-zero reps,
+   sparse special values, negative means or ragged lengths mixed in
+   by regime. *)
+let gen_reps rng =
+  let module R = Numkit.Rng in
+  let k = 1 + R.int rng 7 and n = 1 + R.int rng 64 in
+  let regime = R.int rng 6 in
+  List.init k (fun r ->
+      let n = if regime = 5 && r = k - 1 && R.bool rng then R.int rng (n + 2) else n in
+      Array.init n (fun _ ->
+          match regime with
+          | 0 -> float_of_int (R.int rng 100_000)
+          | 1 -> if r = 0 then 0.0 else float_of_int (R.int rng 3)
+          | 2 -> 0.0
+          | 3 -> -.float_of_int (R.int rng 1000)
+          | _ -> gen_value rng))
+
+let bits x = Int64.bits_of_float x
+
+let outcome f x =
+  match f x with
+  | v -> Ok v
+  | exception e -> Error (Printexc.to_string e)
+
+let check_same name show f g x =
+  let shown = function Ok v -> Ok (show v) | Error e -> Error e in
+  let pp = Alcotest.(result (list int64) string) in
+  Alcotest.check pp name (shown (outcome f x)) (shown (outcome g x))
+
+let test_stats_differential () =
+  let rng = Numkit.Rng.of_string "stats-differential" in
+  let scalar x = [ bits x ] and vector a = Array.to_list (Array.map bits a) in
+  let bool b = [ (if b then 1L else 0L) ] in
+  let module S = Numkit.Stats in
+  for case = 1 to 3000 do
+    let reps = gen_reps rng in
+    let name what = Printf.sprintf "case %d: %s" case what in
+    let first = List.hd reps and last = List.nth reps (List.length reps - 1) in
+    check_same (name "sum") scalar Oracle.sum S.sum first;
+    check_same (name "mean") scalar Oracle.mean S.mean first;
+    check_same (name "median") scalar Oracle.median S.median first;
+    check_same (name "all_zero") bool Oracle.all_zero S.all_zero first;
+    check_same (name "rnmse") scalar (Oracle.rnmse first) (S.rnmse first) last;
+    check_same (name "max_rnmse") scalar Oracle.max_rnmse S.max_rnmse reps;
+    check_same (name "mean_rnmse") scalar Oracle.mean_rnmse S.mean_rnmse reps;
+    check_same (name "max_relative_range") scalar Oracle.max_relative_range
+      S.max_relative_range reps;
+    check_same (name "elementwise_mean") vector Oracle.elementwise_mean
+      S.elementwise_mean reps;
+    check_same (name "elementwise_median") vector Oracle.elementwise_median
+      S.elementwise_median reps
+  done
+
+(* Empty and ragged inputs raise what the originals raised. *)
+let test_stats_differential_invalid () =
+  let scalar x = [ bits x ] and vector a = Array.to_list (Array.map bits a) in
+  let module S = Numkit.Stats in
+  let sets =
+    [
+      [];
+      [ [||] ];
+      [ [||]; [||] ];
+      [ [| 1.0 |]; [||] ];
+      [ [||]; [| 1.0 |] ];
+      [ [| 1.0; 2.0 |]; [| 1.0 |] ];
+      [ [| 1.0 |]; [| 1.0; 2.0 |] ];
+      [ [| 1.0; 2.0 |]; [| 1.0; 2.0 |]; [| 3.0 |] ];
+      [ [| 1.0 |]; [| 2.0 |]; [| 3.0; 4.0 |] ];
+      [ [| nan |]; [| 1.0; 2.0 |] ];
+    ]
+  in
+  List.iteri
+    (fun i reps ->
+      let name what = Printf.sprintf "set %d: %s" i what in
+      check_same (name "max_rnmse") scalar Oracle.max_rnmse S.max_rnmse reps;
+      check_same (name "mean_rnmse") scalar Oracle.mean_rnmse S.mean_rnmse reps;
+      check_same (name "max_relative_range") scalar Oracle.max_relative_range
+        S.max_relative_range reps;
+      check_same (name "elementwise_mean") vector Oracle.elementwise_mean
+        S.elementwise_mean reps;
+      check_same (name "elementwise_median") vector Oracle.elementwise_median
+        S.elementwise_median reps;
+      match reps with
+      | a :: b :: _ ->
+        check_same (name "rnmse") scalar (Oracle.rnmse a) (S.rnmse a) b
+      | [ a ] ->
+        check_same (name "mean") scalar Oracle.mean S.mean a;
+        check_same (name "median") scalar Oracle.median S.median a;
+        check_same (name "sum") scalar Oracle.sum S.sum a
+      | [] -> ())
+    sets
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -210,6 +420,9 @@ let () =
           Alcotest.test_case "max rnmse" `Quick test_max_rnmse;
           Alcotest.test_case "elementwise" `Quick test_elementwise;
           Alcotest.test_case "all_zero" `Quick test_all_zero;
+          Alcotest.test_case "kernels = list oracle" `Quick test_stats_differential;
+          Alcotest.test_case "invalid inputs = list oracle" `Quick
+            test_stats_differential_invalid;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -123,6 +123,42 @@ let test_all_zero_dataset_names_fates () =
     Alcotest.(check (list int)) "events, all-zero, too noisy, kept"
       [ 4; 4; 0; 0 ] [ f.events; f.all_zero; f.too_noisy; f.kept ]
 
+(* An imported CSV that measured other kernel rows than the
+   category's basis (here: the branch export without its last row, and
+   the first two cpu-flops rows) is a typed error naming both counts,
+   not an [Invalid_argument] from inside the projection's QR. *)
+let test_csv_row_count_mismatch_is_typed () =
+  let keep_fields k line =
+    String.concat "," (List.filteri (fun i _ -> i < k) (String.split_on_char ',' line))
+  in
+  let import category full ~fields =
+    Cat_bench.Dataset.reps_to_csv full
+    |> String.split_on_char '\n'
+    |> List.map (keep_fields fields)
+    |> String.concat "\n"
+    |> Cat_bench.Dataset.of_reps_csv ~name:(Core.Category.name category)
+  in
+  List.iter
+    (fun (category, full, fields, rows, expected) ->
+      let dataset = import category full ~fields in
+      match
+        Core.Pipeline.run_custom
+          ~config:(Core.Pipeline.default_config category)
+          ~category ~dataset
+          ~basis:(Core.Category.basis category)
+          ~signatures:(Core.Category.signatures category) ()
+      with
+      | _ -> Alcotest.fail "expected Row_count_mismatch"
+      | exception Core.Stage.Row_count_mismatch r ->
+        Alcotest.(check (list string)) "category"
+          [ Core.Category.name category ] [ r.category ];
+        Alcotest.(check (list int)) "rows, expected" [ rows; expected ]
+          [ r.rows; r.expected ])
+    [
+      (Core.Category.Branch, Cat_bench.Dataset.branch (), 12, 10, 11);
+      (Core.Category.Cpu_flops, Cat_bench.Dataset.cpu_flops (), 4, 2, 48);
+    ]
+
 let test_reps_one_pipeline_bounded () =
   (* Single repetition floods the filter (everything kept), yet the
      QRCP cannot pick more events than the basis has dimensions. *)
@@ -257,6 +293,8 @@ let () =
           Alcotest.test_case "one repetition bounded" `Quick test_reps_one_pipeline_bounded;
           Alcotest.test_case "all-zero dataset names fates" `Quick
             test_all_zero_dataset_names_fates;
+          Alcotest.test_case "csv row count mismatch typed" `Quick
+            test_csv_row_count_mismatch_is_typed;
         ] );
       ( "simulators",
         [
